@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Serving-plane load benchmark -> BENCH_service.json, with a CI guard.
 
-Measures the numbers the async sharded serving plane commits to:
+Measures the numbers the serving plane commits to:
 
 - **sustained submit throughput** and **p50/p95/p99 submit latency** —
   ``--submissions`` (default 2000) POSTs issued by ``--clients``
-  persistent keep-alive connections against the asyncio front end,
+  persistent keep-alive connections against the HTTP front end,
   spread over ``--unique`` distinct specs so the drain phase exercises
   dedup the way real duplicate traffic does;
 - **drain rate** — jobs/s at which the scheduler empties the backlog
@@ -27,8 +27,8 @@ Modes::
 ``BENCH_service.json``.  The backpressure and SSE invariants are
 enforced on every host (they are correctness, not speed).  The
 throughput/latency floors are enforced only on multi-core runners: on
-a single-core host the client threads and the event loop contend for
-one CPU, so the wall-clock numbers say nothing about the serving
+a single-core host the client threads and the handler threads contend
+for one CPU, so the wall-clock numbers say nothing about the serving
 plane and the guard is *skipped with a warning* (mirroring
 ``bench_sweep.py``'s parallel guard).
 """
@@ -115,7 +115,7 @@ def _sse_worker(host, port, path, counts, lock):
 
 
 def _bench_submit_drain(args, tmp):
-    """Submit phase + drain phase against a full-size async service."""
+    """Submit phase + drain phase against a full-size service."""
     service = ExperimentService(
         db_path="memory://" if args.memory_store else os.path.join(
             tmp, "bench.sqlite"
@@ -123,7 +123,6 @@ def _bench_submit_drain(args, tmp):
         port=0,
         workers=args.workers,
         rate_cache=os.path.join(tmp, "rates.json"),
-        frontend=args.frontend,
         max_queue_depth=max(4096, args.submissions + 64),
         admission_rate=1e9,
         admission_burst=1e9,
@@ -238,7 +237,6 @@ def _bench_backpressure(args, tmp):
         db_path="memory://",
         port=0,
         workers=1,
-        frontend=args.frontend,
         max_queue_depth=args.bp_queue_depth,
         admission_rate=1.0,
         admission_burst=args.bp_burst,
@@ -326,7 +324,6 @@ def measure(args):
             "python": platform.python_version(),
         },
         "parameters": {
-            "frontend": args.frontend,
             "submissions": args.submissions,
             "clients": args.clients,
             "unique": args.unique,
@@ -405,7 +402,7 @@ def check(doc, baseline, args):
                 )
     else:
         print(
-            "SKIP: single-core host — client threads and the event loop "
+            "SKIP: single-core host — client and handler threads "
             "share one CPU, so the submit throughput/latency floors are "
             "not applicable; correctness invariants (backpressure, "
             "Retry-After, bounded queue, SSE completeness) were still "
@@ -423,12 +420,6 @@ def main(argv=None):
         type=Path,
         default=DEFAULT_OUT,
         help="committed baseline for --check",
-    )
-    parser.add_argument(
-        "--frontend",
-        choices=("thread", "async"),
-        default="async",
-        help="front end under load (default async)",
     )
     parser.add_argument("--submissions", type=int, default=2000)
     parser.add_argument("--clients", type=int, default=32)

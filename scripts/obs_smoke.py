@@ -32,19 +32,13 @@ copied into ``$REPRO_SMOKE_ARTIFACT_DIR`` (when set) so CI can upload
 them as workflow artifacts.  Exits non-zero on any failure; prints a one-line
 summary per step so CI logs read as a transcript.
 
-The service-backed checks (timeline API, archive, SSE stream) run on
-the front end selected with ``--frontend`` — pass ``async`` to drive
-the asyncio server instead of the default threaded one, or ``both``
-to cover each in turn.
-
 Usage::
 
-    PYTHONPATH=src python scripts/obs_smoke.py [--frontend thread]
+    PYTHONPATH=src python scripts/obs_smoke.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -83,22 +77,20 @@ def http(method: str, url: str, body: dict | None = None):
         return resp.read()
 
 
-def check_timeline_api(tmp: Path, frontend: str) -> Path:
+def check_timeline_api(tmp: Path) -> tuple[Path, Path]:
     """Drive a job to DONE and validate ``GET /jobs/<id>/timeseries``."""
     from repro.service.api import ExperimentService
 
-    archive_path = tmp / f"archive-{frontend}.sqlite3"
     service = ExperimentService(
-        db_path=tmp / f"smoke-{frontend}.sqlite3",
+        db_path=tmp / "smoke.sqlite3",
         port=0,
         workers=1,
-        rate_cache=tmp / f"rates-{frontend}.json",
-        archive=archive_path,
+        rate_cache=tmp / "rates.json",
+        archive=tmp / "archive.sqlite3",
         archive_period_s=0.2,
-        frontend=frontend,
     )
     service.start()
-    print(f"[obs-smoke] {frontend} front end up at {service.url}")
+    print(f"[obs-smoke] service up at {service.url}")
     try:
         spec = {
             "workload": "stereo",
@@ -131,7 +123,7 @@ def check_timeline_api(tmp: Path, frontend: str) -> Path:
             f"[obs-smoke] /jobs/<id>/timeseries serves {len(rows)} "
             "timelines with monotonic power+frequency samples"
         )
-        timeline_path = tmp / f"timeline-{frontend}.json"
+        timeline_path = tmp / "timeline.json"
         timeline_path.write_bytes(raw)
 
         check_archive(service, job["id"])
@@ -230,7 +222,7 @@ def check_sse_stream(service, tmp: Path) -> Path:
         f"events ({kinds.count('sample')} samples), closed on "
         f"{kinds[-1]!r}"
     )
-    stream_path = tmp / f"stream-{service.frontend}.txt"
+    stream_path = tmp / "stream.txt"
     stream_path.write_text(raw)
     return stream_path
 
@@ -246,19 +238,7 @@ def export_artifacts(paths: list[Path]) -> None:
     print(f"[obs-smoke] exported {len(paths)} artifact(s) to {dest}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--frontend",
-        choices=("thread", "async", "both"),
-        default="thread",
-        help="HTTP front end(s) for the service-backed checks "
-        "(default: thread)",
-    )
-    args = parser.parse_args(argv)
-    frontends = (
-        ("thread", "async") if args.frontend == "both" else (args.frontend,)
-    )
+def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="repro-obs-smoke-"))
     trace_path = tmp / "prof.json"
     proc = run_cli(
@@ -340,13 +320,10 @@ def main(argv: list[str] | None = None) -> int:
     assert "power_w |" in proc.stdout, proc.stdout
     print("[obs-smoke] timeline --ascii renders the stored timeline")
 
-    artifacts = [trace_path]
-    for frontend in frontends:
-        timeline_path, stream_path = check_timeline_api(tmp, frontend)
-        artifacts.extend([timeline_path, stream_path])
-    export_artifacts(artifacts)
+    timeline_path, stream_path = check_timeline_api(tmp)
+    export_artifacts([trace_path, timeline_path, stream_path])
 
-    print(f"[obs-smoke] PASS (service checks on: {', '.join(frontends)})")
+    print("[obs-smoke] PASS")
     return 0
 
 

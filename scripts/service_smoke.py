@@ -7,18 +7,13 @@ that ``/healthz`` answers and ``/metrics`` exposes the queue/state/
 cache counters.  Exits non-zero on any failure; prints a one-line
 summary per step so CI logs read as a transcript.
 
-The whole sequence runs once per front end (``--frontend both``, the
-default, covers the legacy threaded server and the asyncio server in
-one invocation), so a regression in either transport fails CI.
-
 Usage::
 
-    PYTHONPATH=src python scripts/service_smoke.py [--frontend both]
+    PYTHONPATH=src python scripts/service_smoke.py
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import tempfile
@@ -67,23 +62,20 @@ def http(method: str, url: str, body: dict | None = None):
         return resp.read()
 
 
-def run_smoke(frontend: str) -> None:
-    tmp = Path(tempfile.mkdtemp(prefix=f"repro-smoke-{frontend}-"))
+def run_smoke() -> None:
+    tmp = Path(tempfile.mkdtemp(prefix="repro-smoke-"))
     service = ExperimentService(
         db_path=tmp / "smoke.sqlite3",
         port=0,
         workers=2,
         rate_cache=tmp / "rates.json",
-        frontend=frontend,
     )
     service.start()
-    print(f"[smoke] {frontend} front end up at {service.url}")
+    print(f"[smoke] service up at {service.url}")
     try:
         health = json.loads(http("GET", service.url + "/healthz"))
         assert health["status"] == "ok", health
-        assert health["frontend"] == frontend, health
-        print(f"[smoke] /healthz ok (workers={health['workers']}, "
-              f"frontend={health['frontend']})")
+        print(f"[smoke] /healthz ok (workers={health['workers']})")
 
         job = json.loads(http("POST", service.url + "/jobs", SPEC))
         print(f"[smoke] submitted job {job['id']} state={job['state']}")
@@ -115,24 +107,12 @@ def run_smoke(frontend: str) -> None:
               "required series")
     finally:
         service.shutdown(drain=False)
-        print(f"[smoke] {frontend} front end stopped")
+        print("[smoke] service stopped")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--frontend",
-        choices=("thread", "async", "both"),
-        default="both",
-        help="which HTTP front end(s) to smoke-test (default: both)",
-    )
-    args = parser.parse_args(argv)
-    frontends = (
-        ("thread", "async") if args.frontend == "both" else (args.frontend,)
-    )
-    for frontend in frontends:
-        run_smoke(frontend)
-    print(f"[smoke] PASS ({', '.join(frontends)})")
+def main() -> int:
+    run_smoke()
+    print("[smoke] PASS")
     return 0
 
 

@@ -52,7 +52,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Sequence
 
 import numpy as np
@@ -410,14 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         metavar="SECONDS",
         help="wall seconds between archived metric snapshots",
-    )
-    serve.add_argument(
-        "--frontend",
-        choices=("thread", "async"),
-        default="thread",
-        help="HTTP front end: one thread per connection, or a single "
-        "asyncio event loop (scales to thousands of connections and "
-        "SSE streams)",
     )
     serve.add_argument(
         "--shards",
@@ -945,7 +936,6 @@ def _cmd_serve(args) -> str:
         batch=args.batch,
         archive=args.archive,
         archive_period_s=args.archive_period,
-        frontend=args.frontend,
         shards=args.shards,
         admission_rate=args.admission_rate,
         admission_burst=args.admission_burst,
@@ -974,33 +964,19 @@ def _cmd_serve(args) -> str:
 
     # Printed (and flushed) before blocking so scripts can scrape the
     # resolved port when --port 0 asked for an ephemeral one.
-    if service.frontend == "thread":
-        print(
-            f"repro experiment service listening on {service.url}",
-            flush=True,
-        )
-    else:
-        # The async front end binds inside serve_forever; start it on
-        # a background thread so the URL is printable first, then park
-        # the main thread on the stop event.
-        service.start()
-        print(
-            f"repro experiment service listening on {service.url}",
-            flush=True,
-        )
     print(
-        f"  frontend={service.frontend} workers={service.scheduler.workers} "
+        f"repro experiment service listening on {service.url}",
+        flush=True,
+    )
+    print(
+        f"  workers={service.scheduler.workers} "
         f"shards={service.scheduler.effective_shards} db={args.db} "
         f"rate_cache={args.rate_cache or 'off'} "
         f"archive={args.archive or 'off'}",
         flush=True,
     )
     try:
-        if service.frontend == "thread":
-            service.serve_forever()
-        else:
-            while not service.stopping:
-                time.sleep(0.2)
+        service.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:

@@ -13,8 +13,7 @@ subsystem threads through (see ``docs/OBSERVABILITY.md``):
 - :mod:`.provenance` — manifests tying a stored result to the config
   digest, workload spec, seed, code version, cache stats, and phase
   timings that produced it;
-- :mod:`.metrics` — the Prometheus exposition layer (moved here from
-  ``repro.service.metrics``, which re-exports it) plus
+- :mod:`.metrics` — the Prometheus exposition layer plus
   :func:`engine_metrics`, the simulation-core instrument panel, and
   :func:`telemetry_metrics`, the in-run telemetry panel;
 - :mod:`.timeseries` — bounded, downsampling in-run telemetry: the

@@ -7,13 +7,12 @@ rendered in the Prometheus text exposition format (version 0.0.4) for
 worker pool, the HTTP handler threads, and the simulation engine all
 share these registries.
 
-This module is the home of the primitives that used to live in
-:mod:`repro.service.metrics` (which now re-exports them unchanged),
-plus :class:`EngineMetrics` — a process-wide panel of *simulation
-internals* (runs, control quanta, fast-forward activations, trace
-simulations, rate-cache hits/misses, per-phase seconds) that the
-engine increments directly and the service's ``/metrics`` endpoint
-exposes alongside the queue/job series.
+Besides the primitives and the service's :class:`ServiceMetrics`
+panel, this module holds :class:`EngineMetrics` — a process-wide
+panel of *simulation internals* (runs, control quanta, fast-forward
+activations, trace simulations, rate-cache hits/misses, per-phase
+seconds) that the engine increments directly and the service's
+``/metrics`` endpoint exposes alongside the queue/job series.
 """
 
 from __future__ import annotations

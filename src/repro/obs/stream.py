@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "StreamEvent",
@@ -83,23 +83,6 @@ class Subscription:
         self._queue: Deque[StreamEvent] = deque()
         self._cond = threading.Condition()
         self._closed = False
-        self._wakeup: Optional[Callable[[], None]] = None
-
-    def set_wakeup(self, callback: Optional[Callable[[], None]]) -> None:
-        """Attach a thread-safe wakeup hook fired on arrival and close.
-
-        The asyncio front end bridges subscriptions onto the event loop
-        with this: the hook is typically
-        ``loop.call_soon_threadsafe(event.set)``.  The callback must be
-        safe to invoke from any thread and must not block.  If events
-        are already queued (or the subscription is closed) the hook
-        fires immediately so no arrival is missed across attachment.
-        """
-        with self._cond:
-            self._wakeup = callback
-            pending = bool(self._queue) or self._closed
-        if pending and callback is not None:
-            callback()
 
     def _offer(self, event: StreamEvent) -> bool:
         """Enqueue one event, dropping the oldest when full (bus-side).
@@ -117,9 +100,6 @@ class Subscription:
                 self.dropped += 1
             self._queue.append(event)
             self._cond.notify_all()
-            wakeup = self._wakeup
-        if wakeup is not None:
-            wakeup()
         return dropped
 
     def get(self, timeout: Optional[float] = None) -> Optional[StreamEvent]:
@@ -159,9 +139,6 @@ class Subscription:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-            wakeup = self._wakeup
-        if wakeup is not None:
-            wakeup()
 
 
 class _Topic:

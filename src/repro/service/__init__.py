@@ -18,22 +18,24 @@ health and throughput as Prometheus metrics.
   in-memory for tests; URL-selected via :func:`open_store`);
 - :mod:`.admission` — token-bucket rate limiting and bounded-queue
   backpressure in front of every submission;
-- :mod:`.metrics` — dependency-free Prometheus exposition;
-- :mod:`.routes` — the transport-neutral HTTP API;
-- :mod:`.api` — the threaded front end + :class:`ExperimentService`
-  composition root (``repro-powercap serve``);
-- :mod:`.asyncapi` — the asyncio front end (``serve --frontend async``).
+- :mod:`.routes` — the HTTP API: every endpoint's semantics, once;
+- :mod:`.api` — the threaded :mod:`http.server` front end +
+  :class:`ExperimentService` composition root
+  (``repro-powercap serve``).
+
+The Prometheus primitives live in :mod:`repro.obs.metrics` and are
+re-exported here for convenience.
 """
 
-from .admission import Admission, AdmissionController, TokenBucket
-from .jobs import Job, JobQueue, JobSpec, JobState, caps_from_range
-from .metrics import (
+from ..obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     ServiceMetrics,
 )
+from .admission import Admission, AdmissionController, TokenBucket
+from .jobs import Job, JobQueue, JobSpec, JobState, caps_from_range
 from .scheduler import ExperimentScheduler
 from .shards import ShardPool, ShardRing, effective_shard_count
 from .store import (
@@ -43,7 +45,7 @@ from .store import (
     SQLiteResultStore,
     open_store,
 )
-from .api import ExperimentService, FRONTENDS
+from .api import ExperimentService
 
 __all__ = [
     "Admission",
@@ -69,5 +71,4 @@ __all__ = [
     "SQLiteResultStore",
     "open_store",
     "ExperimentService",
-    "FRONTENDS",
 ]

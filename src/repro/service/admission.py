@@ -18,9 +18,8 @@ gate every ``POST /jobs`` passes before a job object is even built:
   ``/metrics`` as ``repro_admission_shed_total{reason=...}``, so load
   shedding is observable, not silent.
 
-Decisions are O(1) under one lock; the controller is shared by the
-threaded and asyncio front ends (the asyncio server calls it from the
-event loop, so nothing here may block).
+Decisions are O(1) under one lock and never block; every HTTP handler
+thread shares the one controller.
 """
 
 from __future__ import annotations

@@ -1,16 +1,15 @@
-"""The experiment service: store + scheduler + a pluggable front end.
+"""The experiment service: store + scheduler + the HTTP front end.
 
 The HTTP API itself lives in :mod:`repro.service.routes` (one
-:class:`~repro.service.routes.Router` shared by every transport).
-This module provides:
+:class:`~repro.service.routes.Router`).  This module provides:
 
-- the **threaded front end** — stdlib :mod:`http.server`, one thread
-  per connection; simple, debuggable, the historical default;
+- the **front end** — stdlib :mod:`http.server`, one thread per
+  connection; the stdlib supplies request parsing, the 400/501/505
+  replies and HTTP/1.0 close semantics, and :class:`_Handler` adds a
+  read deadline and ``Content-Length`` validation;
 - :class:`ExperimentService` — the composition root wiring the result
   store, scheduler, admission controller, optional shard pool,
-  optional archive recorder, and the selected front end
-  (``frontend="thread"`` or ``"async"``; the latter is
-  :class:`~repro.service.asyncapi.AsyncFrontEnd`).
+  optional archive recorder, and the front end.
 
 Endpoints (see ``docs/SERVICE.md`` for payloads):
 
@@ -24,7 +23,7 @@ Endpoints (see ``docs/SERVICE.md`` for payloads):
 ``GET /jobs/{id}/stream``  live Server-Sent Events for an in-flight run
 ``GET /fleet/stream``  live fleet health rollup events (SSE)
 ``DELETE /jobs/{id}`` cancel a still-queued job
-``GET /healthz``      liveness + queue depth + shard/front-end identity
+``GET /healthz``      liveness + queue depth + shard count
 ``GET /metrics``      Prometheus text exposition (version 0.0.4)
 ``GET /metrics/history``  archived scrape snapshots for one series
 ``GET /runs/compare`` per-series deltas between two archived runs
@@ -33,17 +32,16 @@ Endpoints (see ``docs/SERVICE.md`` for payloads):
 
 from __future__ import annotations
 
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-import os
-
 from ..errors import ConfigError
 from ..obs.archive import MetricsRecorder, ObsArchive
 from ..obs.logging import get_logger
+from ..obs.metrics import ServiceMetrics
 from .admission import AdmissionController
-from .metrics import ServiceMetrics
 from .routes import (
     MAX_BODY_BYTES,
     Request,
@@ -56,10 +54,16 @@ from .scheduler import ExperimentScheduler
 from .shards import ShardPool, effective_shard_count
 from .store import open_store
 
-__all__ = ["ExperimentService", "FRONTENDS"]
+__all__ = ["ExperimentService"]
 
-#: Selectable HTTP front ends.
-FRONTENDS = ("thread", "async")
+#: Read deadline (seconds) for a request's line, headers and body, and
+#: for an idle keep-alive connection between requests.
+IDLE_TIMEOUT_S = 120.0
+
+#: Route dispatches that run at once (the stdlib executor's default
+#: size).  Later requests wait their turn instead of contending for
+#: the GIL, which bounds the tail latency of a burst of clients.
+MAX_CONCURRENT_DISPATCH = min(32, (os.cpu_count() or 1) + 4)
 
 _log = get_logger("service.api")
 
@@ -69,6 +73,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "_ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Applied to the socket in setup(); a stalled read raises
+    # TimeoutError, which handle_one_request turns into a close.
+    timeout = IDLE_TIMEOUT_S
 
     def log_message(self, fmt: str, *args) -> None:  # noqa: A003
         if self.server.service.verbose:
@@ -76,8 +83,23 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle(self) -> None:
         service = self.server.service
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length", "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            # The body's framing is unknown, so the connection closes.
+            self.close_connection = True
+            self._write_response(
+                Response.json(400, {"error": "invalid Content-Length"})
+            )
+            return
+        length = int(raw_length)
         if length > MAX_BODY_BYTES:
+            # Read past the body without keeping it, so the connection
+            # stays framed for keep-alive.
+            while length > 0:
+                chunk = self.rfile.read(min(length, 1 << 16))
+                if not chunk:
+                    break
+                length -= len(chunk)
             self._write_response(
                 Response.json(413, {"error": "request body too large"})
             )
@@ -90,7 +112,8 @@ class _Handler(BaseHTTPRequestHandler):
             body=body,
             client=self.client_address[0],
         )
-        result = service.router.dispatch(request)
+        with self.server.dispatch_slots:
+            result = service.router.dispatch(request)
         if isinstance(result, StreamStart):
             self._serve_stream(result)
         else:
@@ -99,15 +122,22 @@ class _Handler(BaseHTTPRequestHandler):
     do_GET = _handle  # noqa: N815 — http.server dispatch names
     do_POST = _handle  # noqa: N815
     do_DELETE = _handle  # noqa: N815
+    do_PUT = _handle  # noqa: N815 — the router answers 405
+    do_PATCH = _handle  # noqa: N815
 
     def _write_response(self, response: Response) -> None:
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.body)))
-        for name, value in response.headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(response.body)
+        try:
+            self.send_response(response.status)
+            self.send_header("Content-Type", response.content_type)
+            self.send_header("Content-Length", str(len(response.body)))
+            for name, value in response.headers:
+                self.send_header(name, value)
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(response.body)
+        except (BrokenPipeError, ConnectionResetError):
+            self.close_connection = True  # Client went away mid-reply.
 
     def _serve_stream(self, start: StreamStart) -> None:
         """Drive one SSE session on this connection's thread.
@@ -142,7 +172,11 @@ class _Handler(BaseHTTPRequestHandler):
 class _ServiceHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # Listen backlog: the stdlib default of 5 overflows when a burst
+    # of clients (e.g. 100 SSE subscribers) connects at once.
+    request_queue_size = 128
     service: "ExperimentService"
+    dispatch_slots: threading.BoundedSemaphore
 
 
 class ExperimentService:
@@ -151,8 +185,8 @@ class ExperimentService:
     ``port=0`` binds an ephemeral port (read it back from
     :attr:`port`) — the tests and the CI smoke job rely on this.
     ``shards >= 2`` moves simulation into partitioned worker processes
-    (with the usual single-core fallback to in-process execution);
-    ``frontend`` selects the transport.
+    (with the usual single-core fallback to in-process execution).
+    ``frontend`` accepts only ``"thread"``, the one front end.
     """
 
     def __init__(
@@ -175,12 +209,11 @@ class ExperimentService:
         admission_burst: float = 400.0,
         max_queue_depth: int = 1024,
     ) -> None:
-        if frontend not in FRONTENDS:
+        if frontend != "thread":
             raise ConfigError(
-                f"unknown frontend {frontend!r}; choose from {FRONTENDS}"
+                f"unknown frontend {frontend!r}; the only choice is 'thread'"
             )
         self.verbose = bool(verbose)
-        self.frontend = frontend
         self.store = open_store(db_path)
         self.metrics = ServiceMetrics()
         self._stopping = threading.Event()
@@ -232,15 +265,11 @@ class ExperimentService:
         if recover:
             self.scheduler.recover()
         self.router = Router(self)
-        self._httpd: Optional[_ServiceHTTPServer] = None
-        self._async_frontend = None
-        if frontend == "thread":
-            self._httpd = _ServiceHTTPServer((host, int(port)), _Handler)
-            self._httpd.service = self
-        else:
-            from .asyncapi import AsyncFrontEnd
-
-            self._async_frontend = AsyncFrontEnd(self, host, int(port))
+        self._httpd = _ServiceHTTPServer((host, int(port)), _Handler)
+        self._httpd.service = self
+        self._httpd.dispatch_slots = threading.BoundedSemaphore(
+            MAX_CONCURRENT_DISPATCH
+        )
         self._serve_thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -260,16 +289,12 @@ class ExperimentService:
     @property
     def host(self) -> str:
         """Bound interface."""
-        if self._httpd is not None:
-            return self._httpd.server_address[0]
-        return self._async_frontend.host
+        return self._httpd.server_address[0]
 
     @property
     def port(self) -> int:
         """Bound port (resolved when 0 was requested)."""
-        if self._httpd is not None:
-            return self._httpd.server_address[1]
-        return self._async_frontend.port
+        return self._httpd.server_address[1]
 
     @property
     def url(self) -> str:
@@ -297,16 +322,6 @@ class ExperimentService:
         need to observe pre-execution states deterministically.
         """
         self._start_backends(start_workers)
-        if self._async_frontend is not None:
-            self._async_frontend.start()
-            _log.info(
-                "service_started",
-                url=self.url,
-                frontend=self.frontend,
-                workers=self.scheduler.workers,
-                shards=self.scheduler.effective_shards,
-            )
-            return
         if self._serve_thread is None:
             self._serve_thread = threading.Thread(
                 target=self._httpd.serve_forever,
@@ -317,7 +332,6 @@ class ExperimentService:
             _log.info(
                 "service_started",
                 url=self.url,
-                frontend=self.frontend,
                 workers=self.scheduler.workers,
                 shards=self.scheduler.effective_shards,
             )
@@ -325,10 +339,7 @@ class ExperimentService:
     def serve_forever(self) -> None:
         """Start workers and serve HTTP on the calling thread."""
         self._start_backends(start_workers=True)
-        if self._async_frontend is not None:
-            self._async_frontend.serve_forever()
-        else:
-            self._httpd.serve_forever()
+        self._httpd.serve_forever()
 
     def shutdown(self, drain: bool = True, timeout: float = 60.0) -> None:
         """Graceful stop: shed, close streams, drain, flush, exit.
@@ -338,8 +349,7 @@ class ExperimentService:
         1. admission starts shedding (503 ``shutting_down``) and
            :attr:`stopping` flips, so SSE sessions emit their terminal
            ``end`` frame on the next poll;
-        2. the front end stops (the asyncio server wakes every stream
-           immediately; threaded streams notice within one poll);
+        2. the front end stops (open streams notice within one poll);
         3. the scheduler stops — with ``drain`` it finishes everything
            queued, without it queued jobs are re-recorded for restart
            recovery and only in-flight jobs are awaited — then flushes
@@ -352,14 +362,11 @@ class ExperimentService:
             return
         self._stopping.set()
         self.admission.begin_shutdown()
-        if self._async_frontend is not None:
-            self._async_frontend.shutdown()
-        elif self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            if self._serve_thread is not None:
-                self._serve_thread.join(timeout=5.0)
-                self._serve_thread = None
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._serve_thread is not None:
+            self._serve_thread.join(timeout=5.0)
+            self._serve_thread = None
         self.scheduler.shutdown(drain=drain, timeout=timeout)
         if self._recorder is not None:
             # Final scrape after the drain so the archived history

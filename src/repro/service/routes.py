@@ -1,8 +1,7 @@
-"""Transport-neutral HTTP routing for the experiment service.
+"""HTTP routing for the experiment service.
 
-Both front ends — the threaded :mod:`http.server` handler and the
-asyncio streams server — speak the same API, so the API lives here
-exactly once.  A front end's whole job is adaptation:
+Every endpoint's semantics live here, apart from the socket work.
+The front end (:mod:`repro.service.api`) only adapts:
 
 1. parse bytes into a :class:`Request`;
 2. call :meth:`Router.dispatch`;
@@ -10,12 +9,9 @@ exactly once.  A front end's whole job is adaptation:
    drive the returned :class:`StreamStart`'s session: write its
    headers, then loop ``poll()`` / wait until ``done``.
 
-The stream sessions are deliberately *poll-style* (non-blocking
-``poll`` + an efficient ``wait``): a thread blocks in
-:meth:`~repro.obs.stream.Subscription.wait`, while the asyncio front
-end bridges the subscription's wakeup hook onto the event loop — one
-shared implementation of the replay/terminal/keepalive semantics,
-two transports.
+The stream sessions are *poll-style*: a non-blocking ``poll`` plus
+:meth:`~repro.obs.stream.Subscription.wait`, which the connection's
+thread blocks in between polls.
 
 Admission control happens here too: every ``POST /jobs`` passes the
 service's :class:`~repro.service.admission.AdmissionController` before
@@ -72,7 +68,7 @@ _TERMINAL_GRACE_S = 0.5
 #: Idle seconds between fleet-stream keepalive comments.
 _KEEPALIVE_S = 5.0
 
-#: Suggested wait between stream polls (both front ends honor it).
+#: Longest wait between stream polls.
 STREAM_POLL_S = 0.25
 
 
@@ -201,7 +197,7 @@ class JobStreamSession:
     ``Last-Event-ID`` replay (done at subscribe time), terminal-event
     close, the post-terminal grace window, the synthetic ``end`` for
     jobs whose events rotated out of the ring, and the shutdown
-    terminal frame.  Both front ends drive it the same way::
+    terminal frame.  The front end drives it like this::
 
         frames, done = session.poll()
         # write frames; if done: close; else wait and poll again
@@ -309,7 +305,7 @@ class FleetStreamSession:
 
 
 class Router:
-    """Maps requests onto the service; shared by every front end."""
+    """Maps requests onto the service."""
 
     def __init__(self, service) -> None:
         self._service = service
@@ -397,7 +393,6 @@ class Router:
                     "workers": service.scheduler.workers,
                     "queue_depth": service.scheduler.queue_depth(),
                     "shards": service.scheduler.effective_shards,
-                    "frontend": service.frontend,
                 },
             )
         if parts == ("metrics",):

@@ -31,11 +31,11 @@ from ..core.serialize import experiment_from_dict, experiment_to_dict
 from ..errors import ReproError
 from ..obs.archive import ObsArchive, distill_experiment_doc
 from ..obs.logging import get_logger
+from ..obs.metrics import ServiceMetrics
 from ..obs.stream import JOB_TOPIC_PREFIX, event_bus, stream_context
 from ..obs.tracing import span
 from ..workloads import make_workload
 from .jobs import Job, JobQueue, JobSpec, JobState
-from .metrics import ServiceMetrics
 from .shards import ShardPool
 from .store import ResultStoreBase
 

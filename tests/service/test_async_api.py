@@ -1,11 +1,10 @@
-"""The asyncio front end, end-to-end over real sockets.
+"""The HTTP front end's transport behaviour, end-to-end over sockets.
 
-Parity contract: every route behaves identically to the threaded
-front end — same status codes, same payloads, same SSE frames — and
-the served result document is byte-identical to a direct in-process
-sweep.  Also covers keep-alive connection reuse, admission sheds with
-``Retry-After``, and graceful shutdown (queued jobs re-recorded, open
-streams closed with a terminal ``end`` frame).
+Covers keep-alive connection reuse and ``Connection: close``, the
+405/413 replies, admission sheds with ``Retry-After``, graceful
+shutdown (queued jobs re-recorded, open streams closed with a
+terminal ``end`` frame), and the served result document being
+byte-identical to a direct in-process sweep.
 """
 
 from __future__ import annotations
@@ -37,13 +36,12 @@ POLL_TRIES = 1200
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("async_service")
+    tmp = tmp_path_factory.mktemp("http_service")
     svc = ExperimentService(
         db_path=tmp / "svc.sqlite3",
         port=0,
         workers=2,
         rate_cache=tmp / "rates.json",
-        frontend="async",
     )
     svc.start()
     yield svc
@@ -111,13 +109,6 @@ def finished_job(service):
 
 
 class TestParity:
-    def test_healthz_reports_async_frontend(self, service):
-        status, health = request_json(service, "GET", "/healthz")
-        assert status == 200
-        assert health["status"] == "ok"
-        assert health["frontend"] == "async"
-        assert health["workers"] == 2
-
     def test_result_byte_identical_to_direct_sweep(
         self, service, finished_job
     ):
@@ -289,8 +280,7 @@ class TestAdmissionOverHttp:
             port=0,
             workers=1,
             rate_cache=tmp_path / "rates.json",
-            frontend="async",
-            admission_rate=0.001,
+                admission_rate=0.001,
             admission_burst=1.0,
         )
         svc.start(start_workers=False)
@@ -352,8 +342,7 @@ class TestGracefulShutdown:
             port=0,
             workers=1,
             rate_cache=tmp_path / "rates.json",
-            frontend="async",
-        )
+            )
         svc.start(start_workers=False)  # jobs queue, never run
         job_ids = []
         for k in range(3):
@@ -402,8 +391,7 @@ class TestGracefulShutdown:
             port=0,
             workers=1,
             rate_cache=tmp_path / "rates.json",
-            frontend="async",
-        )
+            )
         svc.start(start_workers=False)
         try:
             svc.admission.begin_shutdown()

@@ -1,7 +1,7 @@
-"""SSE fan-out at scale on the asyncio front end.
+"""SSE fan-out at scale on the HTTP front end.
 
-The headline test holds 100+ concurrent SSE subscribers against one
-event loop and requires every one of them to receive the complete,
+The headline test holds 100 concurrent SSE subscribers, one handler
+thread each, and requires every one of them to receive the complete,
 identical frame sequence with the terminal close.  The companion
 tests pin down the drop-oldest backpressure contract at the bus layer:
 a slow subscriber loses the *oldest* events, the loss is counted
@@ -31,13 +31,12 @@ SUBSCRIBERS = 100
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("sse_async")
+    tmp = tmp_path_factory.mktemp("sse_fanout")
     svc = ExperimentService(
         db_path=tmp / "svc.sqlite3",
         port=0,
         workers=2,
         rate_cache=tmp / "rates.json",
-        frontend="async",
     )
     svc.start()
     yield svc
@@ -89,7 +88,7 @@ def done_job(service):
 
 class TestConcurrentSubscribers:
     def test_100_subscribers_all_complete(self, service, done_job):
-        """100 concurrent streams on one event loop, all identical."""
+        """100 concurrent streams, all identical."""
         url = f"{service.url}/jobs/{done_job['id']}/stream"
         results = [None] * SUBSCRIBERS
         errors = []
@@ -170,36 +169,5 @@ class TestDropOldestBackpressure:
                 seen.append(event.data["k"])
             assert seen == list(range(12))
             assert sub.dropped == 0
-        finally:
-            bus.unsubscribe(sub)
-
-    def test_wakeup_hook_fires_on_offer_and_close(self):
-        """The asyncio bridge: set_wakeup fires without consuming."""
-        bus = event_bus()
-        topic = "test.backpressure.wakeup"
-        sub = bus.subscribe(topic, queue_size=4)
-        fired = threading.Event()
-        try:
-            sub.set_wakeup(fired.set)
-            bus.publish(topic, "tick", {"k": 0})
-            assert fired.wait(timeout=5)
-            # The wakeup did not consume: the event is still queued.
-            assert sub.get(timeout=0) is not None
-
-            fired.clear()
-            sub.close()
-            assert fired.wait(timeout=5)
-        finally:
-            bus.unsubscribe(sub)
-
-    def test_wakeup_fires_immediately_when_already_pending(self):
-        bus = event_bus()
-        topic = "test.backpressure.pending"
-        sub = bus.subscribe(topic, queue_size=4)
-        try:
-            bus.publish(topic, "tick", {"k": 0})
-            fired = threading.Event()
-            sub.set_wakeup(fired.set)  # event already waiting
-            assert fired.is_set()
         finally:
             bus.unsubscribe(sub)
