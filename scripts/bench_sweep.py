@@ -5,9 +5,9 @@ Measures the three numbers docs/PERFORMANCE.md commits to:
 
 - **sweep wall-clock** — the full Table II experiment (both paper
   workloads, all nine caps plus the uncapped baseline) at ``--jobs 1``
-  (per-run and batch-engine paths) and ``--jobs 4``, with runs/s for
-  each and the ``effective_jobs`` each sweep actually used after the
-  single-core / tiny-chunk fallbacks;
+  and ``--jobs 4``, with runs/s for each and the ``effective_jobs``
+  each sweep actually used after the single-core / tiny-chunk
+  fallbacks;
 - **single-run speedup** — one 120 W Stereo run through the scalar
   loop versus the block-step kernel, interleaved best-of-N so the two
   paths see the same thermal/cache conditions of the host;
@@ -23,11 +23,10 @@ Modes::
 ``BENCH_sweep.json``: it fails (exit 1) when the jobs=1 sweep
 wall-clock regresses by more than ``--tolerance`` (default 20 %), or
 when the machine-independent ratios degrade — single-run speedup
-below ``--min-speedup``, kernel engagement below
-``--min-engagement``, or the batched jobs=1 sweep slower than
-``--min-batch-ratio`` of the per-run one.  The ratio guards are the
-portable part of the contract (wall-clock shifts with host hardware;
-the speedup and engagement of a deterministic simulation do not).
+below ``--min-speedup``, or kernel engagement below
+``--min-engagement``.  The ratio guards are the portable part of the
+contract (wall-clock shifts with host hardware; the speedup and
+engagement of a deterministic simulation do not).
 
 The parallel guard is gated on the host: on a >= 4-core runner the
 jobs=4 sweep must reach ``--min-parallel-speedup`` (default 2.0x) over
@@ -36,9 +35,8 @@ execution by design, so the guard is *skipped with a warning* instead
 of failing (``effective_jobs`` in the artifact records the fallback).
 
 Schema 2 artifacts add ``effective_jobs`` per sweep plus
-``batch_runs_per_s`` and ``chunk_overhead_ms``; ``--check`` still
-reads schema-1 baselines (the shared fields are compared, the new
-ones skipped).
+``chunk_overhead_ms``; ``--check`` still reads schema-1 baselines (the
+shared fields are compared, the new ones skipped).
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ def _scaled(workload, scale):
     return workload
 
 
-def _bench_sweep(jobs, args, rate_cache, batch=None):
+def _bench_sweep(jobs, args, rate_cache):
     """Wall-clock one full Table II sweep at the given worker count."""
     experiment = PowerCapExperiment(
         [
@@ -85,7 +83,6 @@ def _bench_sweep(jobs, args, rate_cache, batch=None):
         repetitions=args.repetitions,
         slice_accesses=args.slice_accesses,
         rate_cache=rate_cache,
-        batch=batch,
     )
     runs = len(experiment._workloads) * (len(PAPER_POWER_CAPS_W) + 1)
     runs *= args.repetitions
@@ -97,7 +94,6 @@ def _bench_sweep(jobs, args, rate_cache, batch=None):
     return {
         "jobs": jobs,
         "effective_jobs": experiment.last_effective_jobs,
-        "batch": batch if batch is not None else True,
         "runs": runs,
         "wall_s": round(wall, 3),
         "runs_per_s": round(runs / wall, 3),
@@ -148,13 +144,12 @@ def measure(args):
         # --rate-cache across repeated sweeps).
         cache = os.path.join(tmp, "rates.json")
         _bench_sweep(1, args, cache)
-        jobs1 = _bench_sweep(1, args, cache, batch=False)
-        jobs1_batch = _bench_sweep(1, args, cache, batch=True)
+        jobs1 = _bench_sweep(1, args, cache)
         jobs4 = _bench_sweep(4, args, cache)
     single = _bench_single_run(args)
     # Dispatch overhead the chunked pool pays beyond ideal scaling of
-    # the batched serial sweep (0 when the pool fell back in-process).
-    ideal = jobs1_batch["wall_s"] / max(1, jobs4["effective_jobs"])
+    # the serial sweep (0 when the pool fell back in-process).
+    ideal = jobs1["wall_s"] / max(1, jobs4["effective_jobs"])
     chunk_overhead_ms = round(max(0.0, jobs4["wall_s"] - ideal) * 1e3, 1)
     return {
         "schema": SCHEMA,
@@ -173,12 +168,10 @@ def measure(args):
         },
         "sweep": {
             "jobs1": jobs1,
-            "jobs1_batch": jobs1_batch,
             "jobs4": jobs4,
             "parallel_speedup": round(
                 jobs1["wall_s"] / jobs4["wall_s"], 2
             ),
-            "batch_runs_per_s": jobs1_batch["runs_per_s"],
             "chunk_overhead_ms": chunk_overhead_ms,
         },
         "single_run_120w": single,
@@ -209,18 +202,6 @@ def check(doc, baseline, args):
         failures.append(
             f"kernel engagement {engagement:.1%} below the "
             f"{args.min_engagement:.0%} floor"
-        )
-    # Batched jobs=1 must stay within --min-batch-ratio of the per-run
-    # path (the engine's contract is "never meaningfully slower"; the
-    # big wins come from warm workers on multi-core hosts).
-    ratio = (
-        doc["sweep"]["batch_runs_per_s"]
-        / doc["sweep"]["jobs1"]["runs_per_s"]
-    )
-    if ratio < args.min_batch_ratio:
-        failures.append(
-            f"batched sweep at {ratio:.2f}x of the per-run sweep, "
-            f"below the {args.min_batch_ratio:.2f}x floor"
         )
     # Parallel guard, gated on the host: fan-out cannot help a
     # single-core runner (the pool falls back in-process by design),
@@ -291,12 +272,6 @@ def main(argv=None):
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--min-engagement", type=float, default=0.75)
     parser.add_argument(
-        "--min-batch-ratio",
-        type=float,
-        default=0.75,
-        help="floor on batched/per-run jobs=1 throughput (default 0.75)",
-    )
-    parser.add_argument(
         "--min-parallel-speedup",
         type=float,
         default=2.0,
@@ -324,8 +299,6 @@ def main(argv=None):
     print(
         f"sweep jobs=1: {sweep['jobs1']['wall_s']:.2f}s "
         f"({sweep['jobs1']['runs_per_s']:.2f} runs/s)  "
-        f"batched: {sweep['jobs1_batch']['wall_s']:.2f}s "
-        f"({sweep['batch_runs_per_s']:.2f} runs/s)  "
         f"jobs=4: {sweep['jobs4']['wall_s']:.2f}s "
         f"({sweep['jobs4']['runs_per_s']:.2f} runs/s, "
         f"effective {sweep['jobs4']['effective_jobs']})  "

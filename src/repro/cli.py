@@ -161,14 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "docs/PERFORMANCE.md)",
     )
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="run sweep tasks strictly one at a time instead of "
-        "marching stable segments of many runs as one numpy batch "
-        "(overrides REPRO_BATCH; results are bit-identical either "
-        "way — see docs/PERFORMANCE.md)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="sample the process with the background profiler and log "
@@ -628,7 +620,6 @@ def _cmd_baseline(args) -> str:
         rate_cache=args.rate_cache,
         telemetry=args.telemetry,
         block_step=args.block_step,
-        batch=args.batch,
     )
     results = []
     for name in sorted(_WORKLOADS):
@@ -653,7 +644,6 @@ def _cmd_sweep(args) -> str:
         rate_cache=args.rate_cache,
         telemetry=args.telemetry,
         block_step=args.block_step,
-        batch=args.batch,
     )
     result = experiment.run_workload(workload, jobs=args.jobs)
     if args.format == "json":
@@ -689,7 +679,6 @@ def _cmd_amenability(args) -> str:
         rate_cache=args.rate_cache,
         telemetry=args.telemetry,
         block_step=args.block_step,
-        batch=args.batch,
     )
     result = experiment.run_workload(workload, jobs=args.jobs)
     report = characterize_amenability(result, tolerance_slowdown=args.tolerance)
@@ -824,7 +813,6 @@ def _cmd_figures(args) -> str:
         rate_cache=args.rate_cache,
         telemetry=args.telemetry,
         block_step=args.block_step,
-        batch=args.batch,
     )
     result = experiment.run_workload(workload, jobs=args.jobs)
     if args.workload == "sire":
@@ -933,7 +921,6 @@ def _cmd_serve(args) -> str:
         rate_cache=args.rate_cache,
         max_attempts=args.max_attempts,
         verbose=args.verbose,
-        batch=args.batch,
         archive=args.archive,
         archive_period_s=args.archive_period,
         shards=args.shards,
@@ -1039,14 +1026,14 @@ def _load_target_docs(target: str, db: str):
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ReproError(f"cannot read {path}: {exc}") from exc
         return f"result file {path}", _result_docs(data)
-    from .service.store import ResultStore
+    from .service.store import SQLiteResultStore
 
     if not Path(db).is_file():
         raise ReproError(
             f"{target!r} is not a result file, and no service store "
             f"exists at {db!r} to resolve it as a job id"
         )
-    store = ResultStore(db)
+    store = SQLiteResultStore(db)
     job = store.get_job(target)
     if job is None:
         raise ReproError(
@@ -1426,9 +1413,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     # --no-block-step forces the scalar control loop; otherwise leave
     # the runner to its default (REPRO_BLOCK_STEP, else on).
     args.block_step = False if args.no_block_step else None
-    # --no-batch likewise forces per-run sweep execution; otherwise the
-    # experiment resolves REPRO_BATCH (default on).
-    args.batch = False if args.no_batch else None
     collector = start_tracing() if args.trace_out else None
     # --profile / --profile-out force the sampler on; otherwise defer
     # to REPRO_PROFILE.  --profile-hz beats REPRO_PROFILE_HZ.

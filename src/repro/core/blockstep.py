@@ -220,15 +220,8 @@ class BlockStepKernel:
         traffic_w: float,
         mpki,
         instr_seg: float,
-        stop_batchable: bool = False,
     ) -> "tuple | None":
         """Retire quanta until a side-effect boundary; commit them.
-
-        With ``stop_batchable`` the kernel also stops at the first
-        *committed* batch-eligible state — pinned non-dithering command,
-        long-step stability engaged, telemetry bucket freshly flushed —
-        so a multi-run driver (:mod:`repro.core.batchstep`) can take the
-        stable tail as one lane of a numpy batch instead.
 
         Arguments are the runner's live loop variables (whose memoized
         ``spi``/``traffic`` values are valid for ``prev_cmd_key``, which
@@ -433,17 +426,6 @@ class BlockStepKernel:
         n = 0
 
         while True:
-            if (
-                stop_batchable
-                and n
-                and pfi == psi
-                and pra == 1.0
-                and stable > stable_thr
-                and (not telem or bucket_fresh)
-            ):
-                # The committed state is a pinned long-step march — hand
-                # the tail to the batch engine.
-                break
             if n == drawn:
                 if chunk < _CHUNK_MAX:
                     chunk *= 4

@@ -31,7 +31,6 @@ from ..obs.tracing import phase_totals, span
 from ..obs.metrics import engine_metrics
 from ..rng import DEFAULT_SEED
 from ..workloads.base import Workload
-from .batchstep import batch_enabled, run_sweep
 from .metrics import AveragedResult, RunResult
 from .ratecache import RateCache
 from .runner import NodeRunner
@@ -121,27 +120,29 @@ def _cost_rank(cap_w: Optional[float]) -> int:
     return 2
 
 
-def _pool_run(task: "Tuple[Workload, Optional[float], int]") -> RunResult:
-    workload, cap_w, rep = task
-    assert _WORKER_RUNNER is not None
-    return _WORKER_RUNNER.run(workload, cap_w, rep=rep)
+def run_sweep(
+    runner: NodeRunner,
+    tasks: "Sequence[Tuple[Workload, Optional[float], int]]",
+) -> List[RunResult]:
+    """Run each task in order, then flush the rate cache once."""
+    results = [runner.run(w, cap, rep=rep) for (w, cap, rep) in tasks]
+    if runner.rate_cache is not None:
+        runner.rate_cache.save()
+    return results
 
 
 def _pool_run_chunk(
-    payload: "Tuple[List[Tuple[Workload, Optional[float], int]], bool | None]",
+    tasks: "List[Tuple[Workload, Optional[float], int]]",
 ) -> List[RunResult]:
     """One warm worker's share of a sweep: a whole task chunk.
 
     The worker's persistent :class:`NodeRunner` (created once by
     ``_pool_init``) carries its measured rates, trace slices, and rate
-    cache across every run of the chunk, and the chunk goes through
-    :func:`repro.core.batchstep.run_sweep` so stable segments of the
-    chunk's runs march as one numpy batch.  Results come back in chunk
+    cache across every run of the chunk.  Results come back in chunk
     order; the parent reassembles them by original task index.
     """
-    tasks, batch = payload
     assert _WORKER_RUNNER is not None
-    return run_sweep(_WORKER_RUNNER, tasks, batch=batch)
+    return run_sweep(_WORKER_RUNNER, tasks)
 
 
 @dataclass
@@ -190,19 +191,17 @@ class PowerCapExperiment:
         rate_cache: "RateCache | str | os.PathLike | None" = None,
         telemetry: "TelemetryConfig | bool | None" = None,
         block_step: bool | None = None,
-        batch: bool | None = None,
     ) -> None:
         if not workloads:
             raise SimulationError("need at least one workload")
         if repetitions < 1:
             raise SimulationError("need at least one repetition")
         self._workloads = list(workloads)
-        self._batch = batch
         #: Worker count the last ``_run_tasks`` actually used, after
         #: the single-core / tiny-chunk fallbacks (bench provenance).
         self.last_effective_jobs: int = 1
-        #: How the last ``_run_tasks`` executed (jobs, batch-engine
-        #: engagement, warm-worker reuse) — recorded into provenance.
+        #: How the last ``_run_tasks`` executed (jobs, warm-worker
+        #: reuse) — recorded into provenance.
         self.last_execution: "dict | None" = None
         self._caps = validate_caps(caps_w, allow_empty=True)
         self._reps = int(repetitions)
@@ -288,28 +287,17 @@ class PowerCapExperiment:
         jobs = self._effective_jobs(jobs, len(tasks))
         self.last_effective_jobs = jobs
         metrics = engine_metrics()
-        counters0 = (
-            metrics.batch_runs.value,
-            metrics.batch_quanta.value,
-        )
 
         def _record_execution(worker_reuse: int) -> None:
-            # With jobs > 1 the batch counters accumulate inside the
-            # workers; the parent-side deltas then read 0 by design.
             metrics.effective_jobs.set(float(jobs))
             self.last_execution = {
                 "requested_jobs": requested,
                 "effective_jobs": jobs,
-                "batch": batch_enabled(self._batch),
-                "batch_runs": int(metrics.batch_runs.value - counters0[0]),
-                "batch_quanta": int(
-                    metrics.batch_quanta.value - counters0[1]
-                ),
                 "worker_reuse": worker_reuse,
             }
 
         if jobs <= 1:
-            results = run_sweep(self._runner, tasks, batch=self._batch)
+            results = run_sweep(self._runner, tasks)
             _record_execution(0)
             return results
         # Skew-aware chunking: a sweep's wall clock is set by whichever
@@ -318,8 +306,8 @@ class PowerCapExperiment:
         # longest-expected-first (stable, so equal ranks keep task
         # order) and dealing round-robin gives every worker one chunk
         # of near-equal expected cost — and a whole chunk per worker is
-        # what lets the warm runner and the batch engine amortize
-        # across runs instead of paying per-task future overhead.
+        # what lets the warm runner amortize its rates and slices across
+        # runs instead of paying per-task future overhead.
         order = sorted(
             range(len(tasks)),
             key=lambda i: _cost_rank(tasks[i][1]),
@@ -327,7 +315,6 @@ class PowerCapExperiment:
         )
         chunks = [order[k::jobs] for k in range(jobs)]
         chunks = [c for c in chunks if c]
-        batch = batch_enabled(self._batch)
         with ProcessPoolExecutor(
             max_workers=len(chunks),
             initializer=_pool_init,
@@ -341,7 +328,7 @@ class PowerCapExperiment:
             ),
         ) as pool:
             futures = [
-                pool.submit(_pool_run_chunk, ([tasks[i] for i in c], batch))
+                pool.submit(_pool_run_chunk, [tasks[i] for i in c])
                 for c in chunks
             ]
             results: List[Optional[RunResult]] = [None] * len(tasks)

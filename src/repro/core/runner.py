@@ -65,8 +65,7 @@ def export_counter_tracks(
     Each sample's *simulated* time maps proportionally onto the run's
     wall-clock interval, so counter curves line up with the run's span
     in chrome://tracing / Perfetto.  No-op without a collector or a
-    timeline.  Shared by the scalar run loop and the batch sweep
-    engine's per-run finish path.
+    timeline.
     """
     collector = current_collector()
     if collector is None or result.timeline is None:
@@ -292,17 +291,13 @@ class NodeRunner:
 
 
 class RunState:
-    """All live state of one in-flight run, steppable from outside.
+    """All live state of one in-flight run.
 
-    The historical ``NodeRunner._run`` held its entire loop in local
-    variables; this class is a verbatim move of that code — the setup
-    section into ``__init__``, the kernel gate into :meth:`try_kernel`,
-    one scalar control quantum into :meth:`step_quantum`, and the result
-    assembly into :meth:`finish` — so results stay bit-identical.  The
-    split exists so an external driver can interleave *many* runs:
-    :mod:`repro.core.batchstep` parks runs at batch-eligible points
-    (pinned command, long-step stable, fresh telemetry bucket) and
-    advances them as one numpy batch with one axis per run.
+    ``NodeRunner._run`` drives it: the setup section is ``__init__``,
+    the kernel gate :meth:`try_kernel`, one scalar control quantum
+    :meth:`step_quantum`, and the result assembly :meth:`finish`.  Each
+    stage is a named method, so profilers and tracers can attribute
+    time to the scalar loop and the block-step kernel separately.
     """
 
     def __init__(
@@ -315,10 +310,6 @@ class RunState:
         self.runner = runner
         self.workload = workload
         self.cap_w = cap_w
-        self.rep = rep
-        #: Wall-clock start, so external drivers (the batch engine) can
-        #: anchor this run's telemetry counter tracks in the trace.
-        self.wall0 = time.perf_counter()
         cfg = runner._config
         self.cfg = cfg
         tag = f"{workload.name}:cap={cap_w}:rep={rep}"
@@ -430,8 +421,6 @@ class RunState:
         self.block_after = 1
         self.block_steps = 0
         self.block_quanta = 0
-        self.batch_steps = 0
-        self.batch_quanta = 0
         self.key = None
         self.stall_ns = 0.0
         self.freq = 0.0
@@ -442,14 +431,8 @@ class RunState:
         """Whether the instruction budget has retired."""
         return not self.done < self.total_instr
 
-    def try_kernel(self, stop_batchable: bool = False) -> None:
-        """The block-step kernel gate (one iteration's worth).
-
-        With ``stop_batchable`` the kernel additionally exits at the
-        first batch-eligible committed state (see
-        :meth:`batch_eligible`), leaving the stable pinned tail for the
-        multi-run batch engine instead of consuming it per-run.
-        """
+    def try_kernel(self) -> None:
+        """The block-step kernel gate (one iteration's worth)."""
         kernel = self.kernel
         if kernel is None or self.quanta < self.block_after:
             return
@@ -469,7 +452,6 @@ class RunState:
             traffic_w=self.traffic_w,
             mpki=self.mpki_by_gating.get(self.key),
             instr_seg=self.instr_by_gating.get(self.key, 0.0),
-            stop_batchable=stop_batchable,
         )
         if kernel.disabled:
             self.kernel = None
@@ -666,53 +648,6 @@ class RunState:
                 f"seconds ({self.done:.3g}/{total_instr:.3g} instructions) — "
                 "check the cap against the node's achievable floor"
             )
-
-    def batch_eligible(self) -> bool:
-        """Whether the multi-run batch engine can take over right now.
-
-        True only at a state from which the per-run kernel's next block
-        would be a *pinned long-step march*: the committed command is
-        non-dithering (``fi == si``, rounded alpha exactly 1.0), the
-        stability counter has the 10x step engaged, the controller's
-        committed duty/level agree with the key, a floor-pinned command
-        has already logged its SEL entry, and the telemetry bucket (if
-        sampling) is empty with every long-step quantum flushing its own
-        bucket.  Everything else — dithering caps, escalation walks,
-        partial buckets — stays with the per-run kernel.
-        """
-        kernel = self.kernel
-        if kernel is None or kernel.disabled:
-            return False
-        if self.quanta < self.block_after or self.finished:
-            return False
-        pk = self.prev_cmd_key
-        if pk is None:
-            return False
-        fi, si, ra, duty, level = pk
-        if fi != si or ra != 1.0:
-            return False
-        if self.stable_quanta <= kernel._stable_thr:
-            return False
-        if self.sampler is not None:
-            if kernel._q10 < kernel._t_period:
-                return False
-            _bt0, el, _acc = self.sampler.block_state()
-            if el > 0.0:
-                return False
-        (ctime, oc, uc, floor_logged, over_logged, cduty, clevel,
-         at_top, saving, esc_pat, deesc_pat, busy) = (
-            self.controller.block_state()
-        )
-        if cduty != duty or clevel != level:
-            return False
-        if self.cap_w is None:
-            # The kernel's uncapped precondition: P0, unthrottled.
-            return (fi, si, ra, duty, level) == (0, 0, 1.0, 1.0, 0)
-        if fi == kernel._n_states - 1 and not floor_logged:
-            # The first floor quantum's SEL entry is a scalar-path side
-            # effect; the march would drop out immediately.
-            return False
-        return True
 
     def finish(self) -> "Tuple[RunResult, int, bool, int, int]":
         """Assemble counters scaled to the full run, and the result."""

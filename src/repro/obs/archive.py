@@ -31,9 +31,9 @@ the bench scripts all write into:
   ``GET /runs/compare`` on the service API.
 
 Connections are opened per call with a busy timeout (the same policy
-as :class:`~repro.service.store.ResultStore`), so one archive file is
-safe to share between the recorder thread, scheduler workers, and
-HTTP handler threads.
+as :class:`~repro.service.store.SQLiteResultStore`), so one archive
+file is safe to share between the recorder thread, scheduler workers,
+and HTTP handler threads.
 """
 
 from __future__ import annotations
@@ -605,10 +605,10 @@ def flatten_series_name(name: str, labels: Dict[str, str]) -> str:
 def _distill_bench_sweep(doc: dict) -> Dict[str, float]:
     series: Dict[str, float] = {}
     sweep = doc.get("sweep") or {}
-    for key in ("parallel_speedup", "batch_runs_per_s", "chunk_overhead_ms"):
+    for key in ("parallel_speedup", "chunk_overhead_ms"):
         if isinstance(sweep.get(key), (int, float)):
             series[key] = float(sweep[key])
-    for name in ("jobs1", "jobs1_batch", "jobs4"):
+    for name in ("jobs1", "jobs4"):
         entry = sweep.get(name) or {}
         for key in ("wall_s", "runs_per_s"):
             if isinstance(entry.get(key), (int, float)):
@@ -791,7 +791,6 @@ class TrendRule:
 #: back to :func:`rule_for_series`'s suffix heuristics.
 DEFAULT_TREND_RULES: Tuple[TrendRule, ...] = (
     TrendRule("runs_per_s", higher_is_better=True, threshold=0.20),
-    TrendRule("batch_runs_per_s", higher_is_better=True, threshold=0.20),
     TrendRule("node_steps_per_s", higher_is_better=True, threshold=0.20),
     TrendRule("parallel_speedup", higher_is_better=True, threshold=0.20),
     TrendRule("single_run.speedup", higher_is_better=True, threshold=0.20),

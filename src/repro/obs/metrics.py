@@ -281,9 +281,6 @@ class EngineMetrics:
     - ``repro_engine_block_steps_total`` /
       ``repro_engine_block_quanta_total`` — stable segments retired by
       the block-step kernel, and the quanta inside them;
-    - ``repro_engine_batch_runs_total`` /
-      ``repro_engine_batch_quanta_total`` — runs that joined a
-      multi-run batch march, and the quanta those marches retired;
     - ``repro_engine_worker_reuse_total`` — sweep runs served by a
       warm (already-initialized) pool worker;
     - ``repro_engine_traces_simulated_total`` — slice simulations that
@@ -333,18 +330,9 @@ class EngineMetrics:
                 "Control quanta retired inside block-step kernel blocks",
             )
         )
-        self.batch_runs = reg(
-            Counter(
-                "repro_engine_batch_runs_total",
-                "Runs that retired at least one multi-run batched segment",
-            )
-        )
-        self.batch_quanta = reg(
-            Counter(
-                "repro_engine_batch_quanta_total",
-                "Control quanta retired inside multi-run batch marches",
-            )
-        )
+        # Unregistered and never incremented: ``perfbench/run.py``
+        # still reads it and reports it as ``control.batch_quanta``.
+        self.batch_quanta = Counter("repro_engine_batch_quanta_total", "")
         self.worker_reuse = reg(
             Counter(
                 "repro_engine_worker_reuse_total",

@@ -40,7 +40,6 @@ from .scheduler import ExperimentScheduler
 from .shards import ShardPool, ShardRing, effective_shard_count
 from .store import (
     MemoryResultStore,
-    ResultStore,
     ResultStoreBase,
     SQLiteResultStore,
     open_store,
@@ -66,7 +65,6 @@ __all__ = [
     "ShardRing",
     "effective_shard_count",
     "MemoryResultStore",
-    "ResultStore",
     "ResultStoreBase",
     "SQLiteResultStore",
     "open_store",

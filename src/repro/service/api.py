@@ -200,7 +200,6 @@ class ExperimentService:
         slice_accesses: int = 320_000,
         recover: bool = True,
         verbose: bool = False,
-        batch: "bool | None" = None,
         archive: "ObsArchive | str | os.PathLike | None" = None,
         archive_period_s: float = 5.0,
         frontend: str = "thread",
@@ -238,7 +237,6 @@ class ExperimentService:
                 n_shards,
                 rate_cache=rate_cache,
                 slice_accesses=slice_accesses,
-                batch=batch,
             )
             if n_shards >= 2
             else None
@@ -250,7 +248,6 @@ class ExperimentService:
             metrics=self.metrics,
             max_attempts=max_attempts,
             slice_accesses=slice_accesses,
-            batch=batch,
             archive=archive,
             shard_pool=self._shard_pool,
         )

@@ -56,7 +56,6 @@ class ExperimentScheduler:
         max_attempts: int = 3,
         retry_backoff_s: float = 0.5,
         slice_accesses: int = 320_000,
-        batch: "bool | None" = None,
         archive: Optional[ObsArchive] = None,
         shard_pool: Optional[ShardPool] = None,
     ) -> None:
@@ -72,7 +71,6 @@ class ExperimentScheduler:
         self._max_attempts = max(1, int(max_attempts))
         self._retry_backoff_s = float(retry_backoff_s)
         self._slice_accesses = int(slice_accesses)
-        self._batch = batch
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.RLock()
         self._threads: List[threading.Thread] = []
@@ -353,7 +351,6 @@ class ExperimentScheduler:
             seed=spec.seed,
             slice_accesses=self._slice_accesses,
             rate_cache=self._rate_cache,
-            batch=self._batch,
         )
         return experiment.run_all(jobs=spec.jobs)
 

@@ -115,7 +115,6 @@ def _shard_main(
     resp_q,
     rate_cache_path: Optional[str],
     slice_accesses: int,
-    batch: "bool | None",
 ) -> None:
     """One shard process: warm runner state, serve until sentinel.
 
@@ -148,7 +147,6 @@ def _shard_main(
                 seed=spec.seed,
                 slice_accesses=slice_accesses,
                 rate_cache=cache,
-                batch=batch,
             )
             sweeps = experiment.run_all(jobs=spec.jobs)
             doc = {
@@ -197,7 +195,6 @@ class ShardPool:
         shards: int,
         rate_cache: "str | os.PathLike | None" = None,
         slice_accesses: int = 320_000,
-        batch: "bool | None" = None,
         start_timeout_s: float = 60.0,
     ) -> None:
         if shards < 2:
@@ -210,7 +207,6 @@ class ShardPool:
             str(rate_cache) if rate_cache is not None else None
         )
         self._slice_accesses = int(slice_accesses)
-        self._batch = batch
         self._start_timeout_s = float(start_timeout_s)
         self._ring = ShardRing(self.shards)
         self._procs: List[mp.Process] = []
@@ -251,7 +247,6 @@ class ShardPool:
                     resp_q,
                     self.partition_path(shard),
                     self._slice_accesses,
-                    self._batch,
                 ),
                 daemon=True,
             )

@@ -66,7 +66,6 @@ __all__ = [
     "ResultStoreBase",
     "SQLiteResultStore",
     "MemoryResultStore",
-    "ResultStore",
     "open_store",
 ]
 
@@ -534,12 +533,6 @@ class MemoryResultStore(ResultStoreBase):
     def result_count(self) -> int:
         with self._lock:
             return len(self._results)
-
-
-#: Compatibility alias — the historical concrete class name.  Existing
-#: code (and the tier-1 tests) construct ``ResultStore(path)``; that
-#: keeps working and now yields the SQLite backend explicitly.
-ResultStore = SQLiteResultStore
 
 
 def open_store(spec: "str | os.PathLike | ResultStoreBase") -> ResultStoreBase:

@@ -44,7 +44,6 @@ __all__ = [
     "joules",
     "watt_hours_to_joules",
     "joules_to_watt_hours",
-    "energy_joules",
     "require_positive",
     "require_non_negative",
     "require_fraction",
@@ -153,10 +152,6 @@ def joules(power_watts: float, duration_s: float) -> float:
     return require_non_negative(power_watts, "power_watts") * require_non_negative(
         duration_s, "duration_s"
     )
-
-
-# Backwards-compatible alias used by early callers of the API.
-energy_joules = joules
 
 
 def watt_hours_to_joules(wh: float) -> float:

@@ -214,8 +214,7 @@ def test_scalar_path_unchanged_by_flag():
 
 
 # ----------------------------------------------------------------------
-# The batch engine (repro.core.batchstep): marching stable segments of
-# many runs as one numpy batch must preserve each run's bit-identity.
+# Sweep execution: a warm pool worker's chunk runs the per-run path.
 # ----------------------------------------------------------------------
 
 
@@ -226,62 +225,6 @@ def _sweep_tasks(names, caps, reps):
         for cap in caps
         for rep in range(reps)
     ]
-
-
-@pytest.mark.parametrize(
-    "telemetry,series",
-    [(True, True), (True, False), (False, True), (False, False)],
-    ids=["tel+ser", "tel", "ser", "bare"],
-)
-def test_batched_sweep_bit_identical(telemetry, series):
-    """Batch-of-N byte-equal to serial, timelines and SEL included.
-
-    min_width=2 forces the march to stay engaged down to two lanes, so
-    the drop/compress/replay machinery is exercised, not just the wide
-    path.
-    """
-    from repro.core.batchstep import run_sweep
-
-    tasks = _sweep_tasks(["stereo", "sire", "stride"], CAPS, 2)
-    batched_runner = NodeRunner(
-        slice_accesses=SLICE_ACCESSES,
-        telemetry=telemetry,
-        record_series=series,
-        block_step=True,
-    )
-    serial_runner = NodeRunner(
-        slice_accesses=SLICE_ACCESSES,
-        telemetry=telemetry,
-        record_series=series,
-        block_step=True,
-    )
-    batched = run_sweep(batched_runner, tasks, batch=True, min_width=2)
-    plain = [serial_runner.run(w, cap, rep=rep) for (w, cap, rep) in tasks]
-
-    for got, want in zip(batched, plain):
-        assert got == want
-        assert _serialized(got) == _serialized(want)
-        assert got.sel_events == want.sel_events
-        if telemetry:
-            assert timeline_to_dict(got.timeline) == timeline_to_dict(
-                want.timeline
-            )
-        else:
-            assert got.timeline is None and want.timeline is None
-
-
-def test_batch_engine_engages():
-    """The pinned caps must actually retire quanta through the march."""
-    from repro.core.batchstep import run_sweep
-    from repro.obs.metrics import engine_metrics
-
-    metrics = engine_metrics()
-    before = metrics.batch_quanta.value
-    runner = NodeRunner(slice_accesses=SLICE_ACCESSES, block_step=True)
-    tasks = _sweep_tasks(["stereo"], [160.0, 120.0], 3)
-    results = run_sweep(runner, tasks, batch=True, min_width=2)
-    assert len(results) == len(tasks)
-    assert metrics.batch_quanta.value > before
 
 
 def test_chunked_warm_worker_matches_serial():
@@ -302,7 +245,7 @@ def test_chunked_warm_worker_matches_serial():
     saved = exp_mod._WORKER_RUNNER
     try:
         exp_mod._pool_init(None, DEFAULT_SEED, SLICE_ACCESSES, None, None, True)
-        chunked = exp_mod._pool_run_chunk((tasks, True))
+        chunked = exp_mod._pool_run_chunk(tasks)
     finally:
         exp_mod._WORKER_RUNNER = saved
 
@@ -312,25 +255,6 @@ def test_chunked_warm_worker_matches_serial():
         assert _serialized(got) == _serialized(want)
 
 
-def test_batch_env_escape_hatch(monkeypatch):
-    from repro.core.batchstep import batch_enabled
-
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
-    assert batch_enabled() is True
-    for off in ("0", "false", "no", "off"):
-        monkeypatch.setenv("REPRO_BATCH", off)
-        assert batch_enabled() is False
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    assert batch_enabled() is True
-    # An explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    assert batch_enabled(True) is True
-    monkeypatch.delenv("REPRO_BATCH")
-    assert batch_enabled(False) is False
-
-
-def test_batch_cli_escape_hatch():
-    args = build_parser().parse_args(["--no-batch", "sweep"])
-    assert args.no_batch is True
-    args = build_parser().parse_args(["sweep"])
-    assert args.no_batch is False
+def test_no_batch_flag_is_gone():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--no-batch", "sweep"])

@@ -33,10 +33,8 @@ def sweep_doc(runs_per_s=100.0):
         "parameters": {"repetitions": 3},
         "sweep": {
             "jobs1": {"wall_s": 10.0, "runs_per_s": runs_per_s},
-            "jobs1_batch": {"wall_s": 8.0, "runs_per_s": 1.2 * runs_per_s},
             "jobs4": {"wall_s": 4.0, "runs_per_s": 2.5 * runs_per_s},
             "parallel_speedup": 2.5,
-            "batch_runs_per_s": 1.2 * runs_per_s,
             "chunk_overhead_ms": 1.5,
         },
         "single_run_120w": {

@@ -29,6 +29,9 @@ class TestEngineMetrics:
         ):
             assert expected in names
 
+    def test_no_batch_engine_series(self):
+        assert "repro_engine_batch_" not in engine_metrics().render()
+
     def test_run_increments_counters(self):
         from repro.core.runner import NodeRunner
         from repro.workloads.stereo import StereoMatchingWorkload

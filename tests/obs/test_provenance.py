@@ -21,7 +21,7 @@ from repro.obs.provenance import (
     config_digest,
     render_provenance,
 )
-from repro.service.store import ResultStore
+from repro.service.store import SQLiteResultStore
 from repro.workloads.stereo import StereoMatchingWorkload
 
 
@@ -79,6 +79,23 @@ class TestManifest:
         assert phases.get("run", 0.0) > 0.0
         assert phases["run"] <= phases["sweep"] + 1e-3
 
+    def test_execution_block_of_a_serial_sweep(self):
+        workload = scaled(StereoMatchingWorkload())
+        result = PowerCapExperiment(
+            [workload],
+            caps_w=(150.0, 140.0),
+            repetitions=1,
+            slice_accesses=60_000,
+        ).run_workload(workload)
+        execution = result.provenance["execution"]
+        assert execution == {
+            "requested_jobs": 1,
+            "effective_jobs": 1,
+            "worker_reuse": 0,
+        }
+        restored = experiment_from_dict(experiment_to_dict(result))
+        assert restored.provenance["execution"] == execution
+
     def test_config_digest_is_stable(self):
         config = sandy_bridge_config()
         assert config_digest(config) == config_digest(sandy_bridge_config())
@@ -133,7 +150,7 @@ class TestRoundTrips:
         assert experiment_from_dict(doc).provenance is None
 
     def test_sqlite_store_round_trip(self, swept, tmp_path):
-        store = ResultStore(tmp_path / "store.sqlite3")
+        store = SQLiteResultStore(tmp_path / "store.sqlite3")
         store.put_result("digest-1", {swept.workload: swept})
         restored = store.get_result("digest-1")[swept.workload]
         assert restored.provenance == swept.provenance
@@ -169,7 +186,7 @@ class TestInspectCommand:
         from repro.service.jobs import Job, JobSpec
 
         db = tmp_path / "svc.sqlite3"
-        store = ResultStore(db)
+        store = SQLiteResultStore(db)
         job = Job(spec=JobSpec(workload="stereo", caps_w=(150.0,)))
         store.record_job(job)
         store.put_result(job.spec_digest, {swept.workload: swept})
@@ -182,7 +199,7 @@ class TestInspectCommand:
         from repro.cli import main
 
         db = tmp_path / "svc.sqlite3"
-        ResultStore(db)
+        SQLiteResultStore(db)
         assert main(["inspect", "no-such-job", "--db", str(db)]) == 2
         assert "neither a result file nor a job id" in capsys.readouterr().err
 

@@ -10,7 +10,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.service.jobs import JobSpec, JobState
 from repro.service.scheduler import ExperimentScheduler
-from repro.service.store import ResultStore
+from repro.service.store import SQLiteResultStore
 
 from .test_store import make_result
 
@@ -19,7 +19,7 @@ TINY = dict(caps_w=(150.0,), repetitions=1, scale=0.001)
 
 @pytest.fixture
 def store(tmp_path):
-    return ResultStore(tmp_path / "svc.sqlite3")
+    return SQLiteResultStore(tmp_path / "svc.sqlite3")
 
 
 def make_scheduler(store, **kwargs):

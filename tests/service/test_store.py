@@ -16,7 +16,7 @@ from repro.core.experiment import ExperimentResult
 from repro.core.metrics import AveragedResult
 from repro.perf.events import PapiEvent
 from repro.service.jobs import Job, JobSpec, JobState
-from repro.service.store import ResultStore
+from repro.service.store import SQLiteResultStore
 
 
 def make_row(cap, time_s):
@@ -49,7 +49,7 @@ def make_result() -> ExperimentResult:
 
 @pytest.fixture
 def store(tmp_path):
-    return ResultStore(tmp_path / "svc.sqlite3")
+    return SQLiteResultStore(tmp_path / "svc.sqlite3")
 
 
 class TestResultRoundTrip:

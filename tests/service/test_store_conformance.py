@@ -1,4 +1,4 @@
-"""ResultStore conformance suite, parameterized over every backend.
+"""Result-store conformance suite, parameterized over every backend.
 
 The pluggable-store contract: any backend reachable through
 ``open_store`` must behave identically for job CRUD, result dedup,
@@ -18,9 +18,9 @@ from repro.core.experiment import PowerCapExperiment
 from repro.core.serialize import experiment_to_dict
 from repro.errors import ConfigError
 from repro.service.jobs import Job, JobSpec, JobState
+from repro.service import store as store_module
 from repro.service.store import (
     MemoryResultStore,
-    ResultStore,
     ResultStoreBase,
     SQLiteResultStore,
     open_store,
@@ -216,6 +216,6 @@ class TestOpenStore:
             open_store("postgres://db.example/repro")
 
     def test_compat_alias(self):
-        assert ResultStore is SQLiteResultStore
+        assert not hasattr(store_module, "ResultStore")
         assert issubclass(SQLiteResultStore, ResultStoreBase)
         assert issubclass(MemoryResultStore, ResultStoreBase)
