@@ -1396,20 +1396,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     configure_logging(
         level=args.log_level, json_mode=True if args.log_json else None
     )
-    # Resolve the global telemetry flags into the TelemetryConfig (or
-    # None = read REPRO_TELEMETRY*) that experiment commands thread
-    # through to their runners.
-    if args.no_telemetry:
-        args.telemetry = TelemetryConfig.resolve(False)
-    elif args.telemetry_period is not None:
-        base = TelemetryConfig.from_env()
-        args.telemetry = TelemetryConfig(
-            enabled=base.enabled,
-            period_s=args.telemetry_period,
-            capacity=base.capacity,
-        )
-    else:
-        args.telemetry = None
     # --no-block-step forces the scalar control loop; otherwise leave
     # the runner to its default (REPRO_BLOCK_STEP, else on).
     args.block_step = False if args.no_block_step else None
@@ -1444,6 +1430,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         "compare": _cmd_compare,
     }[args.command]
     try:
+        # Resolve the global telemetry flags into the TelemetryConfig (or
+        # None = read REPRO_TELEMETRY*) that experiment commands thread
+        # through to their runners; a bad period or environment value
+        # is reported like any other command error.
+        if args.no_telemetry:
+            args.telemetry = TelemetryConfig.resolve(False)
+        elif args.telemetry_period is not None:
+            base = TelemetryConfig.from_env()
+            args.telemetry = TelemetryConfig(
+                enabled=base.enabled,
+                period_s=args.telemetry_period,
+                capacity=base.capacity,
+            )
+        else:
+            args.telemetry = None
         with span("cli", command=args.command):
             out = handler(args)
         if out is not None:

@@ -28,9 +28,14 @@ the scalar path is interpreter and object-protocol overhead, not math.
   resets the stability counter, and logs the scalar path's SEL entries
   at the stepped quantum's commit;
 - every integral (energy, meter samples and grid cursor, frequency-time,
-  telemetry buckets, the time axis itself) is folded sequentially in the
-  same association order as the scalar statements, then committed in
-  bulk through the substrates' ``*_block`` methods.
+  the time axis itself) is folded sequentially in the same association
+  order as the scalar statements, then committed in bulk through the
+  substrates' ``*_block`` methods;
+- telemetry is not folded here: the kernel keeps one raw row per
+  committed quantum (duration, power, frequency, blended P-state, duty,
+  temperature) and hands the block's rows to the run's
+  ``TelemetrySampler.commit_block``, which buckets them with the
+  arithmetic the scalar path's ``TelemetrySampler.record`` uses.
 
 The contract is the repo's established one: **bit-identical results** —
 same arithmetic, same float association order, same RNG consumption —
@@ -59,7 +64,6 @@ from __future__ import annotations
 import math
 
 from ..bmc.sel import SelEventType
-from ..obs.timeseries import SeriesPoint
 
 __all__ = ["BlockStepKernel"]
 
@@ -155,16 +159,6 @@ class BlockStepKernel:
         self._n_states = len(self._freqs)
         self._cap = controller.cap_w
         self._table_ok: dict = {}
-        if sampler is not None:
-            self._t_period = sampler.config.period_s
-            self._channels = [
-                sampler.block_channel(name)
-                for name in (
-                    "power_w", "freq_mhz", "pstate", "duty", "c0_frac",
-                    "temp_c", "l1_mpki", "l2_mpki", "l3_mpki",
-                    "dtlb_mpki", "itlb_mpki",
-                )
-            ]
         #: Set when a run-wide precondition fails (non-monotone power
         #: table, unexpected traffic term); the runner then drops the
         #: kernel and the scalar path carries the rest of the run.
@@ -332,92 +326,11 @@ class BlockStepKernel:
         segs_append = segs.append
         series_append = series.append if series is not None else None
 
+        # One raw telemetry row per committed quantum; the sampler
+        # folds them into buckets at commit.
         sampler = self._sampler
-        telem = sampler is not None
-        if telem:
-            m1, m2, m3, m4, m5 = mpki
-            t_period = self._t_period
-            # NamedTuple construction via the generated __new__ costs
-            # ~3x a raw tuple build; eleven points per long-step
-            # quantum make that the telemetry path's biggest term.
-            # ``tuple.__new__(SeriesPoint, ...)`` builds the identical
-            # object (NamedTuple has no __init__ logic of its own).
-            SP = SeriesPoint
-            sp = tuple.__new__
-            # Flushed buckets collect per channel and land in one
-            # add_block call each at commit (decimation timing is
-            # replayed there when capacity is reached).
-            flushed = [[] for _ in range(11)]
-            (f_pw, f_fm, f_ps, f_dy, f_c0, f_tc,
-             f_m1, f_m2, f_m3, f_m4, f_m5) = (
-                lst.append for lst in flushed
-            )
-            bt0, el, acc = sampler.block_state()
-            bucket_fresh = el <= 0.0
-            const_seeded = bucket_fresh
-            if not bucket_fresh:
-                if len(acc) != 11:
-                    return None
-                ws_pw, mn_pw, mx_pw = acc["power_w"]
-                ws_fm, mn_fm, mx_fm = acc["freq_mhz"]
-                ws_ps, mn_ps, mx_ps = acc["pstate"]
-                ws_dy, mn_dy, mx_dy = acc["duty"]
-                ws_c0, mn_c0, mx_c0 = acc["c0_frac"]
-                ws_tc, mn_tc, mx_tc = acc["temp_c"]
-                ws_m1, mn_m1, mx_m1 = acc["l1_mpki"]
-                ws_m2, mn_m2, mx_m2 = acc["l2_mpki"]
-                ws_m3, mn_m3, mx_m3 = acc["l3_mpki"]
-                ws_m4, mn_m4, mx_m4 = acc["dtlb_mpki"]
-                ws_m5, mn_m5, mx_m5 = acc["itlb_mpki"]
-            # Fused single-quantum buckets batch as raw (bt0, pw, fm,
-            # psv, temp) tuples — one append per quantum — and drain
-            # into SeriesPoints channel by channel.  mpki cannot change
-            # inside a block, and a duty step drains the batch first,
-            # so ``fb`` only ever holds quanta sharing the *current*
-            # duty — both are drain-time constants.
-            fb = []
-            fb_append = fb.append
-            fb_dt = 0.0
-
-            def drain(dt_b):
-                # Same arithmetic as the scalar seed-then-flush of a
-                # single-quantum bucket: ws = v * dt; el = 0.0 + dt;
-                # mean = ws / el; min = max = v.
-                el_b = 0.0 + dt_b
-                bs, pws, fms, pss, tcs = zip(*fb)
-                dmean = (duty * dt_b) / el_b
-                mm1 = (m1 * dt_b) / el_b
-                mm2 = (m2 * dt_b) / el_b
-                mm3 = (m3 * dt_b) / el_b
-                mm4 = (m4 * dt_b) / el_b
-                mm5 = (m5 * dt_b) / el_b
-                flushed[0].extend(
-                    [sp(SP, (b, el_b, (v * dt_b) / el_b, v, v))
-                     for b, v in zip(bs, pws)])
-                flushed[1].extend(
-                    [sp(SP, (b, el_b, (v * dt_b) / el_b, v, v))
-                     for b, v in zip(bs, fms)])
-                flushed[2].extend(
-                    [sp(SP, (b, el_b, (v * dt_b) / el_b, v, v))
-                     for b, v in zip(bs, pss)])
-                flushed[3].extend(
-                    [sp(SP, (b, el_b, dmean, duty, duty)) for b in bs])
-                flushed[4].extend(
-                    [sp(SP, (b, el_b, dmean, duty, duty)) for b in bs])
-                flushed[5].extend(
-                    [sp(SP, (b, el_b, (v * dt_b) / el_b, v, v))
-                     for b, v in zip(bs, tcs)])
-                flushed[6].extend(
-                    [sp(SP, (b, el_b, mm1, m1, m1)) for b in bs])
-                flushed[7].extend(
-                    [sp(SP, (b, el_b, mm2, m2, m2)) for b in bs])
-                flushed[8].extend(
-                    [sp(SP, (b, el_b, mm3, m3, m3)) for b in bs])
-                flushed[9].extend(
-                    [sp(SP, (b, el_b, mm4, m4, m4)) for b in bs])
-                flushed[10].extend(
-                    [sp(SP, (b, el_b, mm5, m5, m5)) for b in bs])
-                fb.clear()
+        rows = []
+        rows_append = rows.append if sampler is not None else None
 
         state0 = sensor.rng_state()
         chunk = _CHUNK0
@@ -537,16 +450,6 @@ class BlockStepKernel:
                             sel_q = True
                             # duty is part of the timing memo's key.
                             freq_m = -1.0
-                            if telem:
-                                if fb:
-                                    # Flush batched fused buckets while
-                                    # the closure still sees the old
-                                    # duty; after this point ``fb``
-                                    # only ever holds same-duty quanta.
-                                    drain(fb_dt)
-                                # An inherited bucket must fold the new
-                                # duty's min/max once more.
-                                const_seeded = False
                             # Re-bracket at the new duty — the scalar
                             # path's second _bracket call.  Same base
                             # (leakage is duty-independent), same
@@ -726,126 +629,10 @@ class BlockStepKernel:
             cycles += fd * duty
             pd = pw * dt
 
-            if telem:
-                psv = alpha * fi + (1.0 - alpha) * si
-                if bucket_fresh and dt >= t_period:
-                    # Single-quantum bucket (every long-step quantum):
-                    # seed, fold, and flush collapse into one batched
-                    # column append; ``drain`` materialises the points.
-                    if fb and dt != fb_dt:
-                        drain(fb_dt)
-                    fb_dt = dt
-                    fb_append((bt0, pw, fm, psv, temp))
-                    # The flushed bucket spanned el = 0.0 + dt, and
-                    # 0.0 + x == x exactly for positive x.
-                    bt0 = bt0 + dt
-                elif bucket_fresh:
-                    if fb:
-                        drain(fb_dt)
-                    ws_pw = pd
-                    mn_pw = mx_pw = pw
-                    ws_fm = fm * dt
-                    mn_fm = mx_fm = fm
-                    ws_ps = psv * dt
-                    mn_ps = mx_ps = psv
-                    ddt = duty * dt
-                    ws_dy = ddt
-                    mn_dy = mx_dy = duty
-                    ws_c0 = ddt
-                    mn_c0 = mx_c0 = duty
-                    ws_tc = temp * dt
-                    mn_tc = mx_tc = temp
-                    ws_m1 = m1 * dt
-                    mn_m1 = mx_m1 = m1
-                    ws_m2 = m2 * dt
-                    mn_m2 = mx_m2 = m2
-                    ws_m3 = m3 * dt
-                    mn_m3 = mx_m3 = m3
-                    ws_m4 = m4 * dt
-                    mn_m4 = mx_m4 = m4
-                    ws_m5 = m5 * dt
-                    mn_m5 = mx_m5 = m5
-                    bucket_fresh = False
-                    # dt < period here, so the freshly seeded bucket
-                    # cannot flush yet.
-                    el += dt
-                else:
-                    ws_pw += pd
-                    if pw < mn_pw:
-                        mn_pw = pw
-                    if pw > mx_pw:
-                        mx_pw = pw
-                    ws_fm += fm * dt
-                    if fm < mn_fm:
-                        mn_fm = fm
-                    if fm > mx_fm:
-                        mx_fm = fm
-                    ws_ps += psv * dt
-                    if psv < mn_ps:
-                        mn_ps = psv
-                    if psv > mx_ps:
-                        mx_ps = psv
-                    ddt = duty * dt
-                    ws_dy += ddt
-                    ws_c0 += ddt
-                    ws_tc += temp * dt
-                    if temp < mn_tc:
-                        mn_tc = temp
-                    if temp > mx_tc:
-                        mx_tc = temp
-                    ws_m1 += m1 * dt
-                    ws_m2 += m2 * dt
-                    ws_m3 += m3 * dt
-                    ws_m4 += m4 * dt
-                    ws_m5 += m5 * dt
-                    if not const_seeded:
-                        # Constant channels: one min/max fold covers
-                        # every in-block quantum of an inherited bucket.
-                        if duty < mn_dy:
-                            mn_dy = duty
-                        if duty > mx_dy:
-                            mx_dy = duty
-                        if duty < mn_c0:
-                            mn_c0 = duty
-                        if duty > mx_c0:
-                            mx_c0 = duty
-                        if m1 < mn_m1:
-                            mn_m1 = m1
-                        if m1 > mx_m1:
-                            mx_m1 = m1
-                        if m2 < mn_m2:
-                            mn_m2 = m2
-                        if m2 > mx_m2:
-                            mx_m2 = m2
-                        if m3 < mn_m3:
-                            mn_m3 = m3
-                        if m3 > mx_m3:
-                            mx_m3 = m3
-                        if m4 < mn_m4:
-                            mn_m4 = m4
-                        if m4 > mx_m4:
-                            mx_m4 = m4
-                        if m5 < mn_m5:
-                            mn_m5 = m5
-                        if m5 > mx_m5:
-                            mx_m5 = m5
-                        const_seeded = True
-                    el += dt
-                    if el >= t_period:
-                        f_pw(sp(SP, (bt0, el, ws_pw / el, mn_pw, mx_pw)))
-                        f_fm(sp(SP, (bt0, el, ws_fm / el, mn_fm, mx_fm)))
-                        f_ps(sp(SP, (bt0, el, ws_ps / el, mn_ps, mx_ps)))
-                        f_dy(sp(SP, (bt0, el, ws_dy / el, mn_dy, mx_dy)))
-                        f_c0(sp(SP, (bt0, el, ws_c0 / el, mn_c0, mx_c0)))
-                        f_tc(sp(SP, (bt0, el, ws_tc / el, mn_tc, mx_tc)))
-                        f_m1(sp(SP, (bt0, el, ws_m1 / el, mn_m1, mx_m1)))
-                        f_m2(sp(SP, (bt0, el, ws_m2 / el, mn_m2, mx_m2)))
-                        f_m3(sp(SP, (bt0, el, ws_m3 / el, mn_m3, mx_m3)))
-                        f_m4(sp(SP, (bt0, el, ws_m4 / el, mn_m4, mx_m4)))
-                        f_m5(sp(SP, (bt0, el, ws_m5 / el, mn_m5, mx_m5)))
-                        bt0 = bt0 + el
-                        el = 0.0
-                        bucket_fresh = True
+            if rows_append is not None:
+                rows_append(
+                    (dt, pw, fm, alpha * fi + (1.0 - alpha) * si, duty, temp)
+                )
 
             temp = ss + (temp - ss) * (decay_q10 if long_step else decay_q)
             while next_s < t_new:
@@ -873,29 +660,8 @@ class BlockStepKernel:
         self._thermal.set_temperature(temp)
         self._meter.advance_block(msamples, next_s, me_j)
         self._energy.add_block(segs, e_j, el_s)
-        if telem:
-            if fb:
-                drain(fb_dt)
-            for ch, pts in zip(self._channels, flushed):
-                if pts:
-                    ch.add_block(pts)
-            if el > 0.0:
-                acc_new = {
-                    "power_w": [ws_pw, mn_pw, mx_pw],
-                    "freq_mhz": [ws_fm, mn_fm, mx_fm],
-                    "pstate": [ws_ps, mn_ps, mx_ps],
-                    "duty": [ws_dy, mn_dy, mx_dy],
-                    "c0_frac": [ws_c0, mn_c0, mx_c0],
-                    "temp_c": [ws_tc, mn_tc, mx_tc],
-                    "l1_mpki": [ws_m1, mn_m1, mx_m1],
-                    "l2_mpki": [ws_m2, mn_m2, mx_m2],
-                    "l3_mpki": [ws_m3, mn_m3, mx_m3],
-                    "dtlb_mpki": [ws_m4, mn_m4, mx_m4],
-                    "itlb_mpki": [ws_m5, mn_m5, mx_m5],
-                }
-            else:
-                acc_new = {}
-            sampler.commit_block(n, bt0, el, acc_new, flushed)
+        if sampler is not None:
+            sampler.commit_block(rows, mpki)
         return (
             n, power, t, done, freq_time, cycles, stable,
             pfi, psi, pra, duty_c, seg,

@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..config import NodeConfig
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from ..mem.hierarchy import AccessRates
 from ..mem.reconfig import GatingState
 from ..obs.logging import get_logger
@@ -137,9 +137,13 @@ class RateCache:
                 f"rate cache path is a directory: {self._path}"
             )
         if max_entries is None:
-            max_entries = int(
-                os.environ.get("REPRO_RATE_CACHE_MAX", self.DEFAULT_MAX_ENTRIES)
-            )
+            raw = os.environ.get("REPRO_RATE_CACHE_MAX", "").strip()
+            try:
+                max_entries = int(raw) if raw else self.DEFAULT_MAX_ENTRIES
+            except ValueError:
+                raise ConfigError(
+                    f"REPRO_RATE_CACHE_MAX must be an integer, got {raw!r}"
+                ) from None
         if max_entries < 1:
             raise SimulationError(
                 f"rate cache max_entries must be >= 1, got {max_entries}"

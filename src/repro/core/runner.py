@@ -34,9 +34,9 @@ from ..bmc.controller import CapController
 from ..bmc.sensors import PowerSensor
 from ..errors import SimulationError
 from ..mem.fastsim import TraceEngine
-from ..mem.hierarchy import AccessRates, MemoryHierarchy
+from ..mem.hierarchy import AccessRates
 from ..mem.latency import AccessCosts, stall_ns_per_instruction
-from ..mem.reconfig import GatingState, ReconfigEngine
+from ..mem.reconfig import GatingState
 from ..obs.logging import get_logger
 from ..obs.metrics import engine_metrics, telemetry_metrics
 from ..obs.timeseries import TelemetryConfig, TelemetrySampler
@@ -102,7 +102,6 @@ class NodeRunner:
         slice_accesses: int = 320_000,
         record_series: bool = False,
         max_sim_seconds: float = 250_000.0,
-        fast_engine: bool = True,
         fast_forward: bool = True,
         rate_cache: "RateCache | str | os.PathLike | None" = None,
         telemetry: "TelemetryConfig | bool | None" = None,
@@ -114,7 +113,6 @@ class NodeRunner:
         self._slice_accesses = int(slice_accesses)
         self._record_series = record_series
         self._max_sim_seconds = float(max_sim_seconds)
-        self._fast_engine = bool(fast_engine)
         self._fast_forward = bool(fast_forward)
         if rate_cache is not None and not isinstance(rate_cache, RateCache):
             rate_cache = RateCache(rate_cache)
@@ -166,8 +164,8 @@ class NodeRunner:
     def rates_for(self, workload: Workload, gating: GatingState) -> AccessRates:
         """Steady-state per-instruction event rates under a gating.
 
-        Measured by pushing the workload's representative slice through
-        a fresh hierarchy configured to ``gating`` and discarding the
+        Measured by the workload's :class:`TraceEngine`, which replays
+        its representative slice under ``gating`` and discards the
         warmup region.  Cached per (workload, miss-relevant config).
         """
         key = (workload.name, gating.config_key())
@@ -196,26 +194,16 @@ class NodeRunner:
                 gating=str(gating.config_key()),
             ):
                 sl = self._slice_for(workload)
-                if self._fast_engine:
-                    engine = self._engines.get(workload.name)
-                    if engine is None:
-                        engine = TraceEngine(self._config, sl)
-                        self._engines[workload.name] = engine
-                    counts = engine.counts(gating)
-                else:
-                    hierarchy = MemoryHierarchy(self._config)
-                    ReconfigEngine(self._config).apply(hierarchy, gating)
-                    d_warm, d_meas, i_warm, i_meas = sl.split_warmup()
-                    if len(sl.preload_addresses):
-                        hierarchy.simulate_data_trace(sl.preload_addresses)
-                    hierarchy.simulate_slice(d_warm, i_warm)
-                    counts = hierarchy.simulate_slice(d_meas, i_meas)
+                engine = self._engines.get(workload.name)
+                if engine is None:
+                    engine = TraceEngine(self._config, sl)
+                    self._engines[workload.name] = engine
+                counts = engine.counts(gating)
             engine_metrics().traces_simulated.inc()
             _log.debug(
                 "trace_simulated",
                 workload=workload.name,
                 gating=str(gating.config_key()),
-                fast_engine=self._fast_engine,
             )
             self._rates[key] = AccessRates.from_counts(
                 counts, sl.measured_instructions

@@ -30,6 +30,7 @@ no model state, so results are bit-identical with sampling on or off.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -45,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from .stream import current_stream, event_bus
 
 __all__ = [
@@ -77,6 +78,11 @@ STANDARD_CHANNELS: Dict[str, str] = {
     "itlb_mpki": "misses/kinstr",
 }
 
+#: The channels one block-step row feeds, in order: ``power_w`` through
+#: ``temp_c`` from the row (its duty feeds ``duty`` and ``c0_frac``),
+#: then the five ``*_mpki`` rates constant across the block.
+_ROW_CHANNELS = tuple(STANDARD_CHANNELS)
+
 _TRUTHY = {"1", "true", "yes", "on"}
 _FALSY = {"0", "false", "no", "off"}
 
@@ -89,10 +95,9 @@ def _sig(value: float) -> float:
 class SeriesPoint(NamedTuple):
     """One duration-weighted interval sample of a channel.
 
-    A NamedTuple rather than a frozen dataclass: the engine constructs
-    one per flushed telemetry bucket inside the run loop, and tuple
-    construction is several times cheaper while keeping the field API,
-    immutability, and value-equality semantics unchanged.
+    Channels store their points as columns; :meth:`SeriesChannel.points`
+    builds these tuples on demand for CSV export, detectors and the
+    archive.
     """
 
     t_s: float
@@ -116,9 +121,14 @@ class SeriesChannel:
     weighted mean, min of mins, max of maxes) — memory stays bounded,
     coverage stays gap-free, and ``integral()`` is preserved exactly up
     to float associativity.
+
+    The points live in one ``(5, n)`` float array, grown by doubling up
+    to ``capacity``, whose rows are the ``t``/``dt``/``mean``/``min``/
+    ``max`` columns; the 2× fold is one vectorized pass over them, and
+    :meth:`points` builds :class:`SeriesPoint` tuples on demand.
     """
 
-    __slots__ = ("name", "unit", "capacity", "_points", "decimations")
+    __slots__ = ("name", "unit", "capacity", "decimations", "_cols", "_n")
 
     def __init__(self, name: str, unit: str = "", capacity: int = 256) -> None:
         if capacity < 8:
@@ -126,11 +136,29 @@ class SeriesChannel:
         self.name = name
         self.unit = unit
         self.capacity = int(capacity)
-        self._points: List[SeriesPoint] = []
         self.decimations = 0
+        self._load(np.empty((5, 0)))
+
+    def _load(self, cols) -> None:
+        """Replace the points with ``cols`` (five columns of ``n`` floats)."""
+        self._cols = np.array(cols, dtype=np.float64)
+        self._n = self._cols.shape[1]
+
+    def _reserve(self, k: int) -> None:
+        """Room for ``k`` more points; the buffer doubles toward capacity."""
+        size = self._cols.shape[1]
+        if self._n + k > size:
+            width = max(self._n + k, min(2 * size + 8, self.capacity))
+            grown = np.empty((5, width))
+            grown[:, : self._n] = self._columns()
+            self._cols = grown
+
+    def _columns(self) -> np.ndarray:
+        """The live ``(5, len)`` view: ``t, dt, mean, min, max``."""
+        return self._cols[:, : self._n]
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._n
 
     def add(
         self,
@@ -145,44 +173,72 @@ class SeriesChannel:
             raise SimulationError("sample duration must be non-negative")
         vmin = mean if vmin is None else vmin
         vmax = mean if vmax is None else vmax
-        if len(self._points) >= self.capacity:
+        if self._n >= self.capacity:
             self._decimate()
-        self._points.append(
-            SeriesPoint(float(t_s), float(dt_s), float(mean), float(vmin),
-                        float(vmax))
-        )
+        self._reserve(1)
+        self._cols[:, self._n] = (t_s, dt_s, mean, vmin, vmax)
+        self._n += 1
 
-    def add_block(self, points: "List[SeriesPoint]") -> None:
-        """Append pre-built points exactly as sequential :meth:`add` calls.
+    def add_block(self, points) -> None:
+        """Append ``(t, dt, mean, min, max)`` rows like sequential :meth:`add`.
 
-        The block-step kernel builds its flushed buckets as
-        :class:`SeriesPoint` tuples (already-float fields, non-negative
-        durations) and lands them here in one call per channel.  Below
-        capacity that is a plain ``extend``; otherwise each point is
-        appended individually so 2× decimation fires at the same moments
-        a sequence of :meth:`add` calls would fire it.
+        ``points`` is a sequence of :class:`SeriesPoint` or a ``(k, 5)``
+        array.  The rows land in slices between decimations, and each
+        decimation fires at the moment a sequence of :meth:`add` calls
+        would fire it: when a point arrives at a full channel.
         """
-        if len(self._points) + len(points) <= self.capacity:
-            self._points.extend(points)
-            return
-        for p in points:
-            if len(self._points) >= self.capacity:
+        rows = np.asarray(points, dtype=np.float64).reshape(-1, 5)
+        done = 0
+        while done < len(rows):
+            if self._n >= self.capacity:
                 self._decimate()
-            self._points.append(p)
+            n = self._n
+            take = min(len(rows) - done, max(self.capacity - n, 1))
+            self._reserve(take)
+            self._cols[:, n : n + take] = rows[done : done + take].T
+            self._n = n + take
+            done += take
 
     def _decimate(self) -> None:
-        pts = self._points
-        merged: List[SeriesPoint] = []
-        for i in range(0, len(pts) - 1, 2):
-            merged.append(_merge_pair(pts[i], pts[i + 1]))
-        if len(pts) % 2:
-            merged.append(pts[-1])
-        self._points = merged
+        """Merge adjacent pairs; an odd last point carries over as is.
+
+        Per pair ``a, b``: ``dt = a.dt + b.dt``, mean ``(a.mean * a.dt +
+        b.mean * b.dt) / dt`` (the plain average when ``dt <= 0``), and
+        ``min``/``max`` keeping ``a`` unless ``b`` is strictly beyond it,
+        as the builtins do.
+        """
+        n = self._n
+        half = n // 2
+        a = slice(0, 2 * half, 2)
+        b = slice(1, 2 * half, 2)
+        t, dt, mean, lo, hi = self._cols
+        dt_a, dt_b, m_a, m_b = dt[a], dt[b], mean[a], mean[b]
+        dts = dt_a + dt_b
+        means = np.divide(
+            m_a * dt_a + m_b * dt_b, dts,
+            out=(m_a + m_b) / 2.0, where=~(dts <= 0),
+        )
+        lows = np.where(lo[b] < lo[a], lo[b], lo[a])
+        highs = np.where(hi[b] > hi[a], hi[b], hi[a])
+        t[:half] = t[a]
+        dt[:half] = dts
+        mean[:half] = means
+        lo[:half] = lows
+        hi[:half] = highs
+        if n % 2:
+            self._cols[:, half] = self._cols[:, n - 1]
+            half += 1
+        self._n = half
         self.decimations += 1
 
     def points(self) -> List[SeriesPoint]:
         """A snapshot of the current points, oldest first."""
-        return list(self._points)
+        return list(map(SeriesPoint._make, zip(*self._columns().tolist())))
+
+    def _end_s(self) -> float:
+        """Where the last point's coverage ends."""
+        n = self._n - 1
+        return float(self._cols[0, n] + self._cols[1, n])
 
     # ------------------------------------------------------------------
     # Statistics
@@ -190,11 +246,12 @@ class SeriesChannel:
 
     def duration_s(self) -> float:
         """Total covered simulated time."""
-        return sum(p.dt_s for p in self._points)
+        return sum(self._cols[1, : self._n].tolist())
 
     def integral(self) -> float:
         """``sum(mean * dt)`` — for the power channel, Joules."""
-        return sum(p.mean * p.dt_s for p in self._points)
+        _, dt, mean, _, _ = self._columns()
+        return sum((mean * dt).tolist())
 
     def time_weighted_mean(self) -> float:
         """Duration-weighted mean over the whole channel."""
@@ -205,25 +262,25 @@ class SeriesChannel:
 
     def vmin(self) -> float:
         """Smallest value observed (pre-decimation minima survive)."""
-        if not self._points:
+        if not self._n:
             raise SimulationError(f"channel {self.name!r} is empty")
-        return min(p.vmin for p in self._points)
+        return min(self._cols[3, : self._n].tolist())
 
     def vmax(self) -> float:
         """Largest value observed (pre-decimation maxima survive)."""
-        if not self._points:
+        if not self._n:
             raise SimulationError(f"channel {self.name!r} is empty")
-        return max(p.vmax for p in self._points)
+        return max(self._cols[4, : self._n].tolist())
 
     def summary(self) -> dict:
         """JSON-ready headline statistics for this channel."""
-        if not self._points:
+        if not self._n:
             return {"points": 0}
         return {
-            "points": len(self._points),
+            "points": self._n,
             "unit": self.unit,
-            "t0_s": _sig(self._points[0].t_s),
-            "t1_s": _sig(self._points[-1].end_s),
+            "t0_s": _sig(self._cols[0, 0]),
+            "t1_s": _sig(self._end_s()),
             "min": _sig(self.vmin()),
             "mean": _sig(self.time_weighted_mean()),
             "max": _sig(self.vmax()),
@@ -252,18 +309,9 @@ class SeriesChannel:
         Empty bins carry the nearest preceding mean (seeded from the
         first point) so renderings stay gap-free.
         """
-        pts = self._points
         width = end / n
-        m = len(pts)
-        t = np.fromiter((p.t_s for p in pts), np.float64, count=m)
-        dt = np.fromiter((p.dt_s for p in pts), np.float64, count=m)
-        mean = np.fromiter((p.mean for p in pts), np.float64, count=m)
-        vmin = np.fromiter((p.vmin for p in pts), np.float64, count=m)
-        vmax = np.fromiter((p.vmax for p in pts), np.float64, count=m)
-        live = dt > 0
-        t, dt, mean, vmin, vmax = (
-            t[live], dt[live], mean[live], vmin[live], vmax[live]
-        )
+        cols = self._columns()
+        t, dt, mean, vmin, vmax = cols[:, cols[1] > 0]
         end_pts = t + dt
         lo = np.clip((t / width).astype(np.int64), 0, n - 1)
         hi = np.clip(((end_pts - 1e-12) / width).astype(np.int64), 0, n - 1)
@@ -289,7 +337,7 @@ class SeriesChannel:
         np.divide(wsum, cover, out=means, where=covered)
         # Gap fill: each uncovered bin repeats the previous covered mean.
         if not covered.all():
-            seed = self._points[0].mean
+            seed = self._cols[2, 0]
             filled = np.where(covered, means, np.nan)
             carry = np.concatenate(([seed], filled))
             order = np.maximum.accumulate(
@@ -309,9 +357,9 @@ class SeriesChannel:
         """
         if n <= 0:
             raise SimulationError("resample bin count must be positive")
-        if not self._points:
+        if not self._n:
             return []
-        end = float(t1_s) if t1_s is not None else self._points[-1].end_s
+        end = float(t1_s) if t1_s is not None else self._end_s()
         if end <= 0:
             return []
         width = end / n
@@ -337,12 +385,12 @@ class SeriesChannel:
         if len({c.name for c in channels}) != 1:
             raise SimulationError("merge mixes differently named channels")
         first = channels[0]
+        out = cls(first.name, first.unit, first.capacity)
         if len(channels) == 1:
-            out = cls(first.name, first.unit, first.capacity)
-            out._points = first.points()
+            out._load(first._columns())
             out.decimations = first.decimations
             return out
-        end = max(c._points[-1].end_s for c in channels)
+        end = max(c._end_s() for c in channels)
         n = min(max(len(c) for c in channels), first.capacity)
         width = end / n
         grids = [c._resample_columns(n, end) for c in channels]
@@ -356,9 +404,9 @@ class SeriesChannel:
             np.minimum(mins, mins_g, out=mins)
             np.maximum(maxs, maxs_g, out=maxs)
         means = acc / len(grids)
-        out = cls(first.name, first.unit, first.capacity)
-        for b in range(n):
-            out.add(b * width, width, means[b], mins[b], maxs[b])
+        # n <= capacity: the grid lands without a decimation.
+        out._load(np.stack((np.arange(n) * width, np.full(n, width), means,
+                            mins, maxs)))
         return out
 
     # ------------------------------------------------------------------
@@ -367,15 +415,18 @@ class SeriesChannel:
 
     def to_dict(self) -> dict:
         """Columnar JSON-ready representation."""
+        t, dt, mean, lo, hi = (
+            [_sig(v) for v in col] for col in self._columns().tolist()
+        )
         return {
             "unit": self.unit,
             "capacity": self.capacity,
             "decimations": self.decimations,
-            "t": [_sig(p.t_s) for p in self._points],
-            "dt": [_sig(p.dt_s) for p in self._points],
-            "mean": [_sig(p.mean) for p in self._points],
-            "min": [_sig(p.vmin) for p in self._points],
-            "max": [_sig(p.vmax) for p in self._points],
+            "t": t,
+            "dt": dt,
+            "mean": mean,
+            "min": lo,
+            "max": hi,
         }
 
     @classmethod
@@ -389,24 +440,10 @@ class SeriesChannel:
                 raise SimulationError(
                     f"channel {name!r} has ragged columns"
                 )
-            out._points = [
-                SeriesPoint(float(t), float(dt), float(m), float(lo), float(hi))
-                for t, dt, m, lo, hi in zip(*cols)
-            ]
+            out._load([[float(v) for v in col] for col in cols])
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"malformed channel {name!r}: {exc}") from exc
         return out
-
-
-def _merge_pair(a: SeriesPoint, b: SeriesPoint) -> SeriesPoint:
-    dt = a.dt_s + b.dt_s
-    if dt <= 0:
-        mean = (a.mean + b.mean) / 2.0
-    else:
-        mean = (a.mean * a.dt_s + b.mean * b.dt_s) / dt
-    return SeriesPoint(
-        a.t_s, dt, mean, min(a.vmin, b.vmin), max(a.vmax, b.vmax)
-    )
 
 
 @dataclass
@@ -547,6 +584,20 @@ def timeline_from_dict(data: dict) -> RunTimeline:
     return timeline
 
 
+def _env_number(name: str, parse, default):
+    """``parse`` of environment variable ``name``; ``default`` when unset."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{name} must be {'an integer' if parse is int else 'a number'}, "
+            f"got {raw!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class TelemetryConfig:
     """Sampling knobs for in-run telemetry (picklable, frozen)."""
@@ -558,8 +609,13 @@ class TelemetryConfig:
     capacity: int = 256
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise SimulationError("telemetry period must be positive")
+        # A NaN or infinite period would fold a whole run into one
+        # bucket and serialize as non-JSON ``NaN``/``Infinity``.
+        if not (math.isfinite(self.period_s) and self.period_s > 0):
+            raise SimulationError(
+                f"telemetry period must be a finite positive number of "
+                f"seconds, got {self.period_s!r}"
+            )
         if self.capacity < 8:
             raise SimulationError("telemetry capacity must be at least 8")
 
@@ -568,8 +624,8 @@ class TelemetryConfig:
         """Build from ``REPRO_TELEMETRY*`` (defaults when unset)."""
         raw = os.environ.get("REPRO_TELEMETRY", "").strip().lower()
         enabled = raw not in _FALSY if raw else True
-        period = float(os.environ.get("REPRO_TELEMETRY_PERIOD", 0.25) or 0.25)
-        capacity = int(os.environ.get("REPRO_TELEMETRY_CAPACITY", 256) or 256)
+        period = _env_number("REPRO_TELEMETRY_PERIOD", float, 0.25)
+        capacity = _env_number("REPRO_TELEMETRY_CAPACITY", int, 256)
         return cls(enabled=enabled, period_s=period, capacity=capacity)
 
     @classmethod
@@ -593,13 +649,15 @@ class TelemetryConfig:
 class TelemetrySampler:
     """Aggregates per-quantum engine state onto the sampling period.
 
-    The runner calls :meth:`record` once per control step with the
-    step's duration and channel values; contributions accumulate
-    (duration-weighted) into the current bucket, which flushes into the
-    channels once ``period_s`` of simulated time has elapsed.  A single
-    long step — the steady-state fast-forward — flushes immediately as
-    one wide interval, so coverage is continuous across fast-forwarded
-    time and ``power_w``'s integral equals the scalar energy integral.
+    The scalar loop calls :meth:`record` once per control step with the
+    step's duration and channel values; the block-step kernel hands a
+    whole block's raw quantum rows to :meth:`commit_block`.  Both fold
+    contributions (duration-weighted) into the current bucket, which
+    flushes into the channels once ``period_s`` of simulated time has
+    elapsed.  A single long step — the steady-state fast-forward —
+    flushes immediately as one wide interval, so coverage is continuous
+    across fast-forwarded time and ``power_w``'s integral equals the
+    scalar energy integral.
 
     Pure bookkeeping: no RNG, no model state, O(channels) per step.
     """
@@ -633,76 +691,108 @@ class TelemetrySampler:
 
     @property
     def samples(self) -> int:
-        """Raw :meth:`record` calls so far."""
+        """Control steps folded so far."""
         return self._samples
-
-    def block_state(self) -> tuple:
-        """``(bucket_t0, elapsed, acc)`` snapshot for the kernel.
-
-        ``acc`` is the live per-channel accumulator dict (each slot is
-        ``[weighted sum, min, max]``); the block-step kernel seeds its
-        local bucket folds from it and installs the evolved state with
-        :meth:`commit_block`.
-        """
-        return self._bucket_t0, self._elapsed, self._acc
-
-    def block_channel(self, name: str) -> SeriesChannel:
-        """The channel ``name`` flushes into (created like ``_flush``)."""
-        channel = self._channels.get(name)
-        if channel is None:
-            channel = self._channels[name] = SeriesChannel(
-                name, "", self._cfg.capacity
-            )
-        return channel
-
-    def commit_block(
-        self,
-        samples: int,
-        bucket_t0: float,
-        elapsed: float,
-        acc: Dict[str, List[float]],
-        flushed: Optional[List[List[SeriesPoint]]] = None,
-    ) -> None:
-        """Install bucket state evolved by the block-step kernel.
-
-        The kernel performs the same per-quantum folds :meth:`record`
-        does (and flushes full buckets into the channels itself via
-        :meth:`block_channel`); this commits the sample count and the
-        partial tail bucket exactly as the scalar path would have left
-        them.  ``flushed`` — the kernel's lockstep per-channel lists of
-        already-committed bucket points, in ``STANDARD_CHANNELS``
-        order — lets a live stream see the buckets the kernel flushed
-        directly into the channels.
-        """
-        self._samples += samples
-        self._bucket_t0 = bucket_t0
-        self._elapsed = elapsed
-        self._acc = acc
-        if self._stream_topic is not None and flushed:
-            names = tuple(STANDARD_CHANNELS)
-            bus = event_bus()
-            for group in zip(*flushed):
-                first = group[0]
-                bus.publish(
-                    self._stream_topic,
-                    "sample",
-                    {
-                        "t_s": first.t_s,
-                        "dt_s": first.dt_s,
-                        "channels": {
-                            name: pt.mean
-                            for name, pt in zip(names, group)
-                        },
-                    },
-                )
 
     def record(self, dt_s: float, values: Mapping[str, float]) -> None:
         """Fold one control step's state into the current bucket."""
         if dt_s < 0:
             raise SimulationError("step duration must be non-negative")
         self._samples += 1
+        self._fold(dt_s, values.items())
+
+    def commit_block(self, rows: Sequence[tuple], mpki: Sequence[float]) -> None:
+        """Fold a block of quanta exactly as sequential :meth:`record` calls.
+
+        Each row is one committed quantum's ``(dt, power_w, freq_mhz,
+        pstate, duty, temp_c)``; ``duty`` also feeds ``c0_frac``, and
+        ``mpki`` — the five miss rates, which cannot change inside a
+        block — feeds the ``*_mpki`` channels.  Bucket boundaries come
+        from :meth:`_fold`'s running ``el += dt``; the buckets then fold
+        side by side, one quantum position at a time, so each bucket's
+        ``ws += v * dt`` and min/max see its quanta in :meth:`_fold`'s
+        order.  The flushed buckets land in each channel with one
+        :meth:`SeriesChannel.add_block`.
+        """
+        if not rows:
+            return
         acc = self._acc
-        for name, value in values.items():
+        if acc and tuple(acc) != _ROW_CHANNELS:
+            raise SimulationError(
+                "a block cannot continue a bucket of other channels"
+            )
+        self._samples += len(rows)
+        block = np.array(rows)
+        k = len(block)
+        dt = block[:, 0]
+        # One column per _ROW_CHANNELS entry: the row's duty twice.
+        values = np.hstack(
+            (block[:, [1, 2, 3, 4, 4, 5]], np.broadcast_to(mpki, (k, 5)))
+        )
+        # Bucket edges, stepped exactly as _fold and _flush step them.
+        period = self._cfg.period_s
+        t0, el = self._bucket_t0, self._elapsed
+        bounds, t0s, els = [0], [], []
+        for j, d in enumerate(dt.tolist(), 1):
+            el += d
+            if el >= period:
+                bounds.append(j)
+                t0s.append(t0)
+                els.append(el)
+                t0 = t0 + el
+                el = 0.0
+        if bounds[-1] < k:
+            bounds.append(k)  # the bucket left open
+        starts = np.array(bounds[:-1])
+        lengths = np.diff(bounds)
+        prod = values * dt[:, None]
+        ws = prod[starts]
+        lo = values[starts]
+        hi = lo.copy()
+        if acc:
+            # The first bucket continues the one already open.
+            ws0, lo0, hi0 = np.array(list(acc.values())).T
+            ws[0] += ws0
+            lo[0] = np.where(lo[0] < lo0, lo[0], lo0)
+            hi[0] = np.where(hi[0] > hi0, hi[0], hi0)
+        for p in range(1, lengths.max()):
+            b = np.flatnonzero(lengths > p)
+            i = starts[b] + p
+            v = values[i]
+            ws[b] += prod[i]
+            lo[b] = np.where(v < lo[b], v, lo[b])
+            hi[b] = np.where(v > hi[b], v, hi[b])
+        done = len(els)
+        if done:
+            means = ws[:done] / np.array(els)[:, None]
+            points = np.empty((done, 5))
+            points[:, 0] = t0s
+            points[:, 1] = els
+            for c, name in enumerate(_ROW_CHANNELS):
+                points[:, 2] = means[:, c]
+                points[:, 3] = lo[:done, c]
+                points[:, 4] = hi[:done, c]
+                self._channel(name).add_block(points)
+            if self._stream_topic is not None:
+                for t, width, row in zip(t0s, els, means.tolist()):
+                    self._publish(t, width, dict(zip(_ROW_CHANNELS, row)))
+        if done < len(starts):
+            # The last bucket stays open for the quanta still to come.
+            self._acc = {
+                name: [w, l, h]
+                for name, w, l, h in zip(
+                    _ROW_CHANNELS,
+                    ws[-1].tolist(), lo[-1].tolist(), hi[-1].tolist(),
+                )
+            }
+        else:
+            self._acc = {}
+        self._bucket_t0 = t0
+        self._elapsed = el
+
+    def _fold(self, dt_s: float, items: Iterable[Tuple[str, float]]) -> None:
+        acc = self._acc
+        for name, value in items:
             slot = acc.get(name)
             if slot is None:
                 acc[name] = [value * dt_s, value, value]
@@ -716,30 +806,31 @@ class TelemetrySampler:
         if self._elapsed >= self._cfg.period_s:
             self._flush()
 
+    def _channel(self, name: str) -> SeriesChannel:
+        channel = self._channels.get(name)
+        if channel is None:
+            channel = self._channels[name] = SeriesChannel(
+                name, "", self._cfg.capacity
+            )
+        return channel
+
+    def _publish(self, t0: float, dt: float, means: Dict[str, float]) -> None:
+        event_bus().publish(
+            self._stream_topic,
+            "sample",
+            {"t_s": t0, "dt_s": dt, "channels": means},
+        )
+
     def _flush(self) -> None:
         if self._elapsed <= 0:
             return
         dt = self._elapsed
         t0 = self._bucket_t0
-        for name, slot in self._acc.items():
-            channel = self._channels.get(name)
-            if channel is None:
-                channel = self._channels[name] = SeriesChannel(
-                    name, "", self._cfg.capacity
-                )
-            channel.add(t0, dt, slot[0] / dt, slot[1], slot[2])
+        for name, (ws, lo, hi) in self._acc.items():
+            self._channel(name).add(t0, dt, ws / dt, lo, hi)
         if self._stream_topic is not None and self._acc:
-            event_bus().publish(
-                self._stream_topic,
-                "sample",
-                {
-                    "t_s": t0,
-                    "dt_s": dt,
-                    "channels": {
-                        name: slot[0] / dt
-                        for name, slot in self._acc.items()
-                    },
-                },
+            self._publish(
+                t0, dt, {name: slot[0] / dt for name, slot in self._acc.items()}
             )
         self._acc = {}
         self._bucket_t0 = t0 + dt
