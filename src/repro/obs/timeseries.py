@@ -414,10 +414,21 @@ class SeriesChannel:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Columnar JSON-ready representation."""
-        t, dt, mean, lo, hi = (
-            [_sig(v) for v in col] for col in self._columns().tolist()
-        )
+        """Columnar JSON-ready representation.
+
+        Columns repeat values (``dt`` is the period, the ``*_mpki``
+        rates are constant per block, min and max equal the mean in
+        single-quantum buckets), so each distinct bit pattern is
+        rounded once, in one ``%.8g`` pass — the format :func:`_sig`
+        applies — and indexed back.  Deduplicating on bits keeps
+        ``-0.0`` apart from ``0.0``.
+        """
+        cols = self._columns()
+        bits, index = np.unique(cols.view(np.uint64), return_inverse=True)
+        vals = bits.view(np.float64).tolist()
+        text = ("%.8g," * len(vals)) % tuple(vals)
+        sig = np.array(list(map(float, text.split(",")[:-1])))
+        t, dt, mean, lo, hi = sig[index.reshape(cols.shape)].tolist()
         return {
             "unit": self.unit,
             "capacity": self.capacity,

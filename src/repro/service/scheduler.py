@@ -27,7 +27,6 @@ import os
 
 from ..core.experiment import ExperimentResult, PowerCapExperiment
 from ..core.ratecache import RateCache
-from ..core.serialize import experiment_from_dict, experiment_to_dict
 from ..errors import ReproError
 from ..obs.archive import ObsArchive, distill_experiment_doc
 from ..obs.logging import get_logger
@@ -332,17 +331,6 @@ class ExperimentScheduler:
                     self._idle.notify_all()
 
     def _run_spec(self, spec: JobSpec) -> Dict[str, ExperimentResult]:
-        if self._shard_pool is not None:
-            # Sharded path: the owning shard returns the serialized
-            # sweep document; deserializing here keeps every consumer
-            # (store, archive, SSE) on the same object shapes as the
-            # in-process path.  The round-trip is exact by contract, so
-            # the stored bytes are identical either way.
-            doc = self._shard_pool.run(spec.digest(), spec.to_dict())
-            return {
-                name: experiment_from_dict(payload)
-                for name, payload in doc.items()
-            }
         workload = make_workload(spec.workload, spec.scale)
         experiment = PowerCapExperiment(
             [workload],
@@ -354,13 +342,9 @@ class ExperimentScheduler:
         )
         return experiment.run_all(jobs=spec.jobs)
 
-    def _archive_run(
-        self,
-        job: Job,
-        sweeps: Dict[str, ExperimentResult],
-        wall_s: float,
-    ) -> None:
-        """Distill one freshly simulated job into the archive.
+    def _archive_run(self, job: Job, doc: dict, wall_s: float) -> None:
+        """Distill one freshly simulated job's stored document into the
+        archive.
 
         Dedup-answered jobs are skipped upstream — their twin already
         landed a record, and re-recording would double-count.  Archive
@@ -369,11 +353,7 @@ class ExperimentScheduler:
         if self._archive is None:
             return
         try:
-            docs = {
-                name: experiment_to_dict(result)
-                for name, result in sweeps.items()
-            }
-            series, meta = distill_experiment_doc(docs, wall_s=wall_s)
+            series, meta = distill_experiment_doc(doc, wall_s=wall_s)
             meta["spec_digest"] = job.spec_digest
             self._archive.record_run(
                 job.id, "job", series, meta=meta, source="service"
@@ -412,14 +392,23 @@ class ExperimentScheduler:
                 job.deduplicated = True
                 self.metrics.dedup_hits.inc()
             else:
+                pool = self._shard_pool
                 with span("job", job_id=job.id, workload=job.spec.workload):
                     # The stream context routes the sampler's bucket
                     # flushes and the phenomenon detectors into this
                     # job's topic for the SSE endpoint.
                     with stream_context(topic):
-                        sweeps = self._run_spec(job.spec)
-                self._store.put_result(job.spec_digest, sweeps)
-                self._archive_run(job, sweeps, time.perf_counter() - t0)
+                        if pool is None:
+                            sweeps = self._run_spec(job.spec)
+                        else:
+                            # The owning shard returns the serialized
+                            # document, which is stored as it came.
+                            doc = pool.run(job.spec_digest, job.spec.to_dict())
+                if pool is None:
+                    doc = self._store.put_result(job.spec_digest, sweeps)
+                else:
+                    self._store.put_result_doc(job.spec_digest, doc)
+                self._archive_run(job, doc, time.perf_counter() - t0)
             job.state = JobState.DONE
             job.error = None
             job.finished_at = time.time()

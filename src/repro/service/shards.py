@@ -18,9 +18,8 @@ moves the simulation into a pool of long-lived **shard processes**:
   stats without ever writing another process's file;
 - results cross the process boundary as the **serialized sweep
   document** (the exact ``experiment_to_dict`` JSON form the store
-  persists), so the sharded path stores byte-identical documents to
-  the in-process path — the serialize round-trip is exact by contract
-  (tier-1 ``tests/core/test_serialize.py``).
+  persists), which the scheduler stores as it came, so the sharded
+  path stores byte-identical documents to the in-process path.
 
 Like the sweep engine's warm-worker pool (PR 6), fan-out falls back to
 in-process execution where it cannot help: a single-core host, or a

@@ -21,10 +21,10 @@ registered backend.
 
 Backends:
 
-- :class:`SQLiteResultStore` (default; ``ResultStore`` is a
-  compatibility alias) — one SQLite file, connections opened per call
-  with a busy timeout, safe from every scheduler worker and HTTP
-  handler thread without a shared-connection lock;
+- :class:`SQLiteResultStore` (default) — one SQLite file (rollback
+  journal) behind one connection per store and process, shared by
+  every scheduler worker and HTTP handler thread under a lock held
+  for one transaction;
 - :class:`MemoryResultStore` — process-local dicts under a lock; no
   durability, no files.  Used by tests and by load benchmarks that
   must not measure filesystem latency;
@@ -48,15 +48,12 @@ import os
 import sqlite3
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.experiment import ExperimentResult
-from ..core.serialize import (
-    averaged_to_dict,
-    experiment_from_dict,
-    experiment_to_dict,
-)
+from ..core.serialize import experiment_from_dict, experiment_to_dict
 from ..errors import ConfigError
 from ..obs.logging import get_logger
 from ..obs.tracing import span
@@ -155,23 +152,32 @@ class ResultStoreBase(abc.ABC):
 
     def put_result(
         self, spec_digest: str, sweeps: Dict[str, ExperimentResult]
-    ) -> None:
-        """Persist one sweep document plus its exploded per-cap rows."""
+    ) -> dict:
+        """Serialize live sweeps once and store them; returns the document."""
+        doc = {
+            name: experiment_to_dict(result) for name, result in sweeps.items()
+        }
+        self.put_result_doc(spec_digest, doc)
+        return doc
+
+    def put_result_doc(self, spec_digest: str, doc: dict) -> None:
+        """Persist one sweep document plus its exploded per-cap rows.
+
+        ``doc`` is ``{workload name: experiment_to_dict(...)}``; the
+        sharded execution path hands one over as it came from the
+        shard.  Each row is stored under its document key (``baseline``
+        or the ``by_cap`` key), which tells apart caps that round to the
+        same watt.
+        """
+        rows: List[Tuple[str, str, str]] = []
+        for name, sweep in doc.items():
+            labelled = [("baseline", sweep["baseline"])]
+            labelled.extend(sweep["by_cap"].items())
+            rows.extend(
+                (name, label, json.dumps(row, sort_keys=True))
+                for label, row in labelled
+            )
         with span("store_write", spec_digest=spec_digest):
-            doc = {
-                name: experiment_to_dict(result)
-                for name, result in sweeps.items()
-            }
-            rows: List[Tuple[str, str, str]] = []
-            for name, result in sweeps.items():
-                for row in result.rows():
-                    rows.append(
-                        (
-                            name,
-                            row.cap_label,
-                            json.dumps(averaged_to_dict(row), sort_keys=True),
-                        )
-                    )
             self._put_result_json(
                 spec_digest,
                 time.time(),
@@ -182,38 +188,8 @@ class ResultStoreBase(abc.ABC):
             "result_stored",
             spec_digest=spec_digest,
             backend=self.backend,
-            workloads=sorted(sweeps),
+            workloads=sorted(doc),
         )
-
-    def put_result_doc(self, spec_digest: str, doc: dict) -> None:
-        """Persist an already-serialized sweep document.
-
-        The sharded execution path moves serialized documents between
-        processes; this stores one without a serialize → deserialize →
-        re-serialize round-trip through live objects.  The rows are
-        re-exploded from the document, so the tabular view stays in
-        lockstep with :meth:`put_result`.
-        """
-        sweeps = {
-            name: experiment_from_dict(data) for name, data in doc.items()
-        }
-        rows: List[Tuple[str, str, str]] = []
-        for name, result in sweeps.items():
-            for row in result.rows():
-                rows.append(
-                    (
-                        name,
-                        row.cap_label,
-                        json.dumps(averaged_to_dict(row), sort_keys=True),
-                    )
-                )
-        with span("store_write", spec_digest=spec_digest):
-            self._put_result_json(
-                spec_digest,
-                time.time(),
-                json.dumps(doc, sort_keys=True),
-                rows,
-            )
 
     def get_result_dict(self, spec_digest: str) -> Optional[dict]:
         """The raw sweep document (JSON-decoded), or None."""
@@ -314,6 +290,9 @@ class SQLiteResultStore(ResultStoreBase):
         self._path = str(path)
         if Path(self._path).is_dir():
             raise ConfigError(f"store path is a directory: {self._path}")
+        self._lock = threading.Lock()
+        self._conn: Optional[sqlite3.Connection] = None
+        self._pid = os.getpid()
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
 
@@ -322,11 +301,42 @@ class SQLiteResultStore(ResultStoreBase):
         """Location of the database file."""
         return self._path
 
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self._path, timeout=30.0)
-        conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA busy_timeout = 30000")
-        return conn
+    @contextmanager
+    def _connect(self) -> Iterator[sqlite3.Connection]:
+        """The store's one connection, held for one transaction.
+
+        Reopened by the first call after :meth:`close`.  A forked child
+        opens its own with a fresh lock: SQLite forbids using a
+        connection across ``fork``, so the parent's is left untouched
+        (not even closed).
+        """
+        if self._pid != os.getpid():
+            self._lock = threading.Lock()
+            self._inherited, self._conn = self._conn, None
+            self._pid = os.getpid()
+        with self._lock:
+            if self._conn is None:
+                self._conn = sqlite3.connect(
+                    self._path, timeout=30.0, check_same_thread=False
+                )
+                self._conn.row_factory = sqlite3.Row
+                self._conn.execute("PRAGMA busy_timeout = 30000")
+            with self._conn as conn:
+                yield conn
+
+    def _fetch(self, sql: str, *params) -> List[sqlite3.Row]:
+        """Every row one query returns."""
+        with self._connect() as conn:
+            return conn.execute(sql, params).fetchall()
+
+    def close(self) -> None:
+        """Close the connection; a later call opens a fresh one."""
+        if self._pid != os.getpid():
+            return  # a forked child never opened the one it holds
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
 
     # ------------------------------------------------------------------
     # Jobs
@@ -346,37 +356,29 @@ class SQLiteResultStore(ResultStoreBase):
             )
 
     def get_job(self, job_id: str) -> Optional[Job]:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT * FROM jobs WHERE id = ?", (job_id,)
-            ).fetchone()
-        return self._job_from_record(row) if row else None
+        rows = self._fetch("SELECT * FROM jobs WHERE id = ?", job_id)
+        return self._job_from_record(rows[0]) if rows else None
 
     def list_jobs(self, limit: int = 200) -> List[Job]:
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT * FROM jobs ORDER BY created_at DESC LIMIT ?",
-                (int(limit),),
-            ).fetchall()
+        rows = self._fetch(
+            "SELECT * FROM jobs ORDER BY created_at DESC LIMIT ?", int(limit)
+        )
         return [self._job_from_record(r) for r in rows]
 
     def counts_by_state(self) -> Dict[str, int]:
         counts = {state.value: 0 for state in JobState}
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
-            ).fetchall()
-        for row in rows:
+        for row in self._fetch(
+            "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
+        ):
             counts[row["state"]] = row["n"]
         return counts
 
     def pending_jobs(self) -> List[Job]:
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT * FROM jobs WHERE state IN (?, ?) "
-                "ORDER BY created_at",
-                (JobState.QUEUED.value, JobState.RUNNING.value),
-            ).fetchall()
+        rows = self._fetch(
+            "SELECT * FROM jobs WHERE state IN (?, ?) ORDER BY created_at",
+            JobState.QUEUED.value,
+            JobState.RUNNING.value,
+        )
         return [self._job_from_record(r) for r in rows]
 
     # ------------------------------------------------------------------
@@ -399,36 +401,30 @@ class SQLiteResultStore(ResultStoreBase):
             conn.execute(
                 "DELETE FROM result_rows WHERE spec_digest = ?", (spec_digest,)
             )
-            for workload, cap_label, row_json in rows:
-                conn.execute(
-                    "INSERT OR REPLACE INTO result_rows "
-                    "(spec_digest, workload, cap_label, row_json) "
-                    "VALUES (?, ?, ?, ?)",
-                    (spec_digest, workload, cap_label, row_json),
-                )
+            conn.executemany(
+                "INSERT OR REPLACE INTO result_rows "
+                "(spec_digest, workload, cap_label, row_json) "
+                "VALUES (?, ?, ?, ?)",
+                [(spec_digest, *row) for row in rows],
+            )
 
     def _get_result_json(self, spec_digest: str) -> Optional[str]:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT result_json FROM results WHERE spec_digest = ?",
-                (spec_digest,),
-            ).fetchone()
-        return row["result_json"] if row else None
+        rows = self._fetch(
+            "SELECT result_json FROM results WHERE spec_digest = ?",
+            spec_digest,
+        )
+        return rows[0]["result_json"] if rows else None
 
     def has_result(self, spec_digest: str) -> bool:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT 1 FROM results WHERE spec_digest = ?", (spec_digest,)
-            ).fetchone()
-        return row is not None
+        sql = "SELECT 1 FROM results WHERE spec_digest = ?"
+        return bool(self._fetch(sql, spec_digest))
 
     def result_rows(self, spec_digest: str) -> List[dict]:
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT workload, cap_label, row_json FROM result_rows "
-                "WHERE spec_digest = ? ORDER BY workload, cap_label",
-                (spec_digest,),
-            ).fetchall()
+        rows = self._fetch(
+            "SELECT workload, cap_label, row_json FROM result_rows "
+            "WHERE spec_digest = ? ORDER BY workload, cap_label",
+            spec_digest,
+        )
         return [
             {
                 "workload": r["workload"],
@@ -439,8 +435,7 @@ class SQLiteResultStore(ResultStoreBase):
         ]
 
     def result_count(self) -> int:
-        with self._connect() as conn:
-            return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
+        return self._fetch("SELECT COUNT(*) FROM results")[0][0]
 
 
 class MemoryResultStore(ResultStoreBase):

@@ -8,6 +8,8 @@ import time
 import pytest
 
 from repro.errors import ConfigError
+from repro.obs.archive import ObsArchive
+from repro.obs.timeseries import SeriesChannel
 from repro.service.jobs import JobSpec, JobState
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.store import SQLiteResultStore
@@ -228,3 +230,40 @@ class TestConcurrentLoad:
         assert scheduler.metrics.jobs_completed.value == 50
         # Every distinct digest landed exactly one stored result.
         assert store.result_count() == 8
+
+
+class TestSerializeOnce:
+    def test_job_serializes_each_channel_once(
+        self, store, tmp_path, monkeypatch
+    ):
+        """Store write and archive share one serialization of the job."""
+        calls = {"n": 0}
+        real_to_dict = SeriesChannel.to_dict
+
+        def counting(channel):
+            calls["n"] += 1
+            return real_to_dict(channel)
+
+        monkeypatch.setattr(SeriesChannel, "to_dict", counting)
+        archive = ObsArchive(tmp_path / "archive.sqlite3")
+        scheduler = make_scheduler(
+            store,
+            workers=1,
+            rate_cache=tmp_path / "rates.json",
+            archive=archive,
+        )
+        scheduler.start()
+        job = scheduler.submit(JobSpec(**dict(TINY, caps_w=(150.0, 140.0))))
+        assert scheduler.drain(timeout=120)
+        scheduler.shutdown(drain=False)
+        assert job.state is JobState.DONE
+        assert archive.runs(kind="job")
+        doc = store.get_result_dict(job.spec_digest)
+        rows = [
+            row
+            for sweep in doc.values()
+            for row in (sweep["baseline"], *sweep["by_cap"].values())
+        ]
+        channels = sum(len(row["timeline"]["channels"]) for row in rows)
+        assert len(rows) == 3 and channels == 33
+        assert calls["n"] == channels

@@ -8,6 +8,10 @@ counter dicts and cap labels included.
 
 from __future__ import annotations
 
+import multiprocessing
+import sqlite3
+import sys
+import threading
 import time
 
 import pytest
@@ -176,3 +180,108 @@ class TestJobRecords:
         store.record_job(old)
         store.record_job(new)
         assert [j.id for j in store.list_jobs()] == [new.id, old.id]
+
+
+def _use_store_in_fork(store, job_id, digest, out):
+    """Child side of the fork test: count connects, read, write."""
+    inherited = store._conn
+    opened = []
+    real_connect = sqlite3.connect
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return real_connect(*args, **kwargs)
+
+    sqlite3.connect = counting
+    child_job = Job(spec=JobSpec(caps_w=(130.0,)))
+    store.record_job(child_job)
+    out.put(
+        {
+            "reads_parent_job": store.get_job(job_id) is not None,
+            "reads_parent_result": store.has_result(digest),
+            "connects": len(opened),
+            "own_connection": store._conn is not inherited,
+            "child_job": child_job.id,
+        }
+    )
+
+
+class TestConnection:
+    @pytest.fixture
+    def connects(self, monkeypatch):
+        """Every ``sqlite3.connect`` call made while the test runs."""
+        calls = []
+        real_connect = sqlite3.connect
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counting)
+        return calls
+
+    def test_threads_share_one_connection(self, tmp_path, connects):
+        store = SQLiteResultStore(tmp_path / "svc.sqlite3")
+        errors = []
+
+        def hammer(k):
+            try:
+                for i in range(50):
+                    job = Job(spec=JobSpec(caps_w=(150.0,), seed=k * 50 + i))
+                    store.record_job(job)
+                    assert not store.has_result(job.spec_digest)
+            except Exception as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(k,)) for k in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(store.list_jobs(limit=1000)) == 400
+        assert len(connects) == 1
+
+    def test_close_closes_and_a_later_call_reopens(self, tmp_path, connects):
+        store = SQLiteResultStore(tmp_path / "svc.sqlite3")
+        job = Job(spec=JobSpec(caps_w=(150.0,)))
+        store.record_job(job)
+        conn = store._conn
+        store.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
+        assert store.get_job(job.id).id == job.id
+        assert len(connects) == 2
+        store.close()
+        store.close()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_child_opens_its_own_connection(self, tmp_path):
+        store = SQLiteResultStore(tmp_path / "svc.sqlite3")
+        job = Job(spec=JobSpec(caps_w=(150.0,)))
+        store.record_job(job)
+        store.put_result("d1", {"StereoMatching": make_result()})
+        ctx = multiprocessing.get_context("fork")
+        out = ctx.Queue()
+        child = ctx.Process(
+            target=_use_store_in_fork, args=(store, job.id, "d1", out)
+        )
+        child.start()
+        seen = out.get(timeout=60)
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert seen["reads_parent_job"] and seen["reads_parent_result"]
+        assert seen["connects"] == 1 and seen["own_connection"]
+        # The parent's connection still serves, and sees the child's row.
+        assert store.get_job(seen["child_job"]) is not None

@@ -51,6 +51,19 @@ def sweeps():
     return spec, experiment.run_all()
 
 
+@pytest.fixture(scope="module")
+def close_caps_sweeps():
+    """Two caps that round to the same whole watt."""
+    spec = JobSpec(workload="stereo", caps_w=(138.4, 137.6), scale=0.001)
+    experiment = PowerCapExperiment(
+        [make_workload(spec.workload, spec.scale)],
+        caps_w=spec.caps_w,
+        repetitions=spec.repetitions,
+        seed=spec.seed,
+    )
+    return spec, experiment.run_all()
+
+
 class TestJobCrud:
     def test_record_and_get_round_trip(self, store):
         job = Job(spec=JobSpec(workload="stereo"), priority=3)
@@ -135,6 +148,9 @@ class TestResults:
         }
         store.put_result_doc(spec.digest(), doc)
         assert store.get_result_dict(spec.digest()) == doc
+        doc_rows = store.result_rows(spec.digest())
+        store.put_result(spec.digest(), results)
+        assert store.result_rows(spec.digest()) == doc_rows
 
     def test_result_rows_exploded_per_cap(self, store, sweeps):
         spec, results = sweeps
@@ -147,6 +163,18 @@ class TestResults:
             ("StereoMatching", "150"),
             ("StereoMatching", "140"),
         }
+
+    def test_caps_rounding_to_one_watt_keep_their_rows(
+        self, store, close_caps_sweeps
+    ):
+        spec, results = close_caps_sweeps
+        store.put_result(spec.digest(), results)
+        rows = store.result_rows(spec.digest())
+        assert [(r["cap_label"], r["row"]["cap_w"]) for r in rows] == [
+            ("137.6", 137.6),
+            ("138.4", 138.4),
+            ("baseline", None),
+        ]
 
     def test_overwrite_same_digest_is_idempotent(self, store, sweeps):
         spec, results = sweeps
