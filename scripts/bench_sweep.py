@@ -4,10 +4,8 @@
 Measures the three numbers docs/PERFORMANCE.md commits to:
 
 - **sweep wall-clock** — the full Table II experiment (both paper
-  workloads, all nine caps plus the uncapped baseline) at ``--jobs 1``
-  and ``--jobs 4``, with runs/s for each and the ``effective_jobs``
-  each sweep actually used after the single-core / tiny-chunk
-  fallbacks;
+  workloads, all nine caps plus the uncapped baseline) in one process,
+  with runs/s;
 - **single-run speedup** — one 120 W Stereo run through the scalar
   loop versus the block-step kernel, interleaved best-of-N so the two
   paths see the same thermal/cache conditions of the host;
@@ -26,17 +24,8 @@ when the machine-independent ratios degrade — single-run speedup
 below ``--min-speedup``, or kernel engagement below
 ``--min-engagement``.  The ratio guards are the portable part of the
 contract (wall-clock shifts with host hardware; the speedup and
-engagement of a deterministic simulation do not).
-
-The parallel guard is gated on the host: on a >= 4-core runner the
-jobs=4 sweep must reach ``--min-parallel-speedup`` (default 2.0x) over
-jobs=1; on a single-core host the pool falls back to in-process
-execution by design, so the guard is *skipped with a warning* instead
-of failing (``effective_jobs`` in the artifact records the fallback).
-
-Schema 2 artifacts add ``effective_jobs`` per sweep plus
-``chunk_overhead_ms``; ``--check`` still reads schema-1 baselines (the
-shared fields are compared, the new ones skipped).
+engagement of a deterministic simulation do not).  ``--check`` still
+reads schema-1 baselines (the shared fields are compared).
 """
 
 from __future__ import annotations
@@ -72,8 +61,8 @@ def _scaled(workload, scale):
     return workload
 
 
-def _bench_sweep(jobs, args, rate_cache):
-    """Wall-clock one full Table II sweep at the given worker count."""
+def _bench_sweep(args, rate_cache):
+    """Wall-clock one full Table II sweep."""
     experiment = PowerCapExperiment(
         [
             _scaled(StereoMatchingWorkload(), args.scale),
@@ -89,11 +78,10 @@ def _bench_sweep(jobs, args, rate_cache):
     wall = float("inf")
     for _ in range(2):  # best-of-2: the guard wants a floor, not noise
         t0 = time.perf_counter()
-        experiment.run_all(jobs=jobs)
+        experiment.run_all()
         wall = min(wall, time.perf_counter() - t0)
     return {
-        "jobs": jobs,
-        "effective_jobs": experiment.last_effective_jobs,
+        "jobs": 1,
         "runs": runs,
         "wall_s": round(wall, 3),
         "runs_per_s": round(runs / wall, 3),
@@ -138,19 +126,14 @@ def _bench_single_run(args):
 
 def measure(args):
     with tempfile.TemporaryDirectory() as tmp:
-        # One shared on-disk rate cache, warmed by an untimed sweep
-        # first: both timed sweeps then measure the control loop, not
-        # the one-time trace simulation (same policy a user gets via
+        # One on-disk rate cache, warmed by an untimed sweep first:
+        # the timed sweep then measures the control loop, not the
+        # one-time trace simulation (same policy a user gets via
         # --rate-cache across repeated sweeps).
         cache = os.path.join(tmp, "rates.json")
-        _bench_sweep(1, args, cache)
-        jobs1 = _bench_sweep(1, args, cache)
-        jobs4 = _bench_sweep(4, args, cache)
+        _bench_sweep(args, cache)
+        jobs1 = _bench_sweep(args, cache)
     single = _bench_single_run(args)
-    # Dispatch overhead the chunked pool pays beyond ideal scaling of
-    # the serial sweep (0 when the pool fell back in-process).
-    ideal = jobs1["wall_s"] / max(1, jobs4["effective_jobs"])
-    chunk_overhead_ms = round(max(0.0, jobs4["wall_s"] - ideal) * 1e3, 1)
     return {
         "schema": SCHEMA,
         "benchmark": "table2-sweep",
@@ -166,14 +149,7 @@ def measure(args):
             "number": args.number,
             "caps_w": list(PAPER_POWER_CAPS_W),
         },
-        "sweep": {
-            "jobs1": jobs1,
-            "jobs4": jobs4,
-            "parallel_speedup": round(
-                jobs1["wall_s"] / jobs4["wall_s"], 2
-            ),
-            "chunk_overhead_ms": chunk_overhead_ms,
-        },
+        "sweep": {"jobs1": jobs1},
         "single_run_120w": single,
     }
 
@@ -202,34 +178,6 @@ def check(doc, baseline, args):
         failures.append(
             f"kernel engagement {engagement:.1%} below the "
             f"{args.min_engagement:.0%} floor"
-        )
-    # Parallel guard, gated on the host: fan-out cannot help a
-    # single-core runner (the pool falls back in-process by design),
-    # so skip with a warning there instead of failing.
-    cpus = os.cpu_count() or 1
-    if cpus >= 4:
-        speedup = doc["sweep"]["parallel_speedup"]
-        if speedup < args.min_parallel_speedup:
-            failures.append(
-                f"parallel speedup {speedup:.2f}x at jobs=4 below the "
-                f"{args.min_parallel_speedup:.1f}x floor on a "
-                f"{cpus}-CPU host"
-            )
-    elif cpus > 1:
-        if doc["sweep"]["jobs4"]["wall_s"] >= doc["sweep"]["jobs1"]["wall_s"]:
-            failures.append(
-                "jobs=4 sweep is not faster than jobs=1 on a "
-                f"{cpus}-CPU host"
-            )
-    else:
-        print(
-            "SKIP: single-core host "
-            f"(effective_jobs={doc['sweep']['jobs4']['effective_jobs']}) "
-            "— parallel speedup guard not applicable; the "
-            f">={args.min_parallel_speedup:.1f}x jobs=4 floor "
-            "introduced with the warm-worker sweep engine has still "
-            "only ever been asserted on multi-core CI, never verified "
-            "on this class of host"
         )
     return failures
 
@@ -272,12 +220,6 @@ def main(argv=None):
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--min-engagement", type=float, default=0.75)
     parser.add_argument(
-        "--min-parallel-speedup",
-        type=float,
-        default=2.0,
-        help="jobs=4 speedup floor, enforced on >=4-core hosts only",
-    )
-    parser.add_argument(
         "--artifact",
         type=Path,
         default=None,
@@ -297,13 +239,8 @@ def main(argv=None):
     sweep = doc["sweep"]
     single = doc["single_run_120w"]
     print(
-        f"sweep jobs=1: {sweep['jobs1']['wall_s']:.2f}s "
-        f"({sweep['jobs1']['runs_per_s']:.2f} runs/s)  "
-        f"jobs=4: {sweep['jobs4']['wall_s']:.2f}s "
-        f"({sweep['jobs4']['runs_per_s']:.2f} runs/s, "
-        f"effective {sweep['jobs4']['effective_jobs']})  "
-        f"parallel x{sweep['parallel_speedup']:.2f}  "
-        f"chunk overhead {sweep['chunk_overhead_ms']:.1f} ms"
+        f"sweep: {sweep['jobs1']['wall_s']:.2f}s "
+        f"({sweep['jobs1']['runs_per_s']:.2f} runs/s)"
     )
     print(
         f"single 120 W Stereo: scalar {single['scalar_ms']:.2f} ms, "

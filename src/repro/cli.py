@@ -106,13 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="instruction-budget scale (1.0 = paper-calibrated budgets)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for sweep-style commands (1 = serial; "
-        "results are bit-identical either way)",
-    )
-    parser.add_argument(
         "--rate-cache",
         default=os.environ.get("REPRO_RATE_CACHE"),
         help="path to a persistent miss-rate cache (JSON); defaults to "
@@ -645,7 +638,7 @@ def _cmd_sweep(args) -> str:
         telemetry=args.telemetry,
         block_step=args.block_step,
     )
-    result = experiment.run_workload(workload, jobs=args.jobs)
+    result = experiment.run_workload(workload)
     if args.format == "json":
         return json.dumps(experiment_to_dict(result), indent=2, sort_keys=True)
     return render_table2(result)
@@ -680,7 +673,7 @@ def _cmd_amenability(args) -> str:
         telemetry=args.telemetry,
         block_step=args.block_step,
     )
-    result = experiment.run_workload(workload, jobs=args.jobs)
+    result = experiment.run_workload(workload)
     report = characterize_amenability(result, tolerance_slowdown=args.tolerance)
     lines = [
         f"Amenability of {report.workload} "
@@ -814,7 +807,7 @@ def _cmd_figures(args) -> str:
         telemetry=args.telemetry,
         block_step=args.block_step,
     )
-    result = experiment.run_workload(workload, jobs=args.jobs)
+    result = experiment.run_workload(workload)
     if args.workload == "sire":
         series = figure1_series(result)
         title = "Figure 1: SIRE/RSM, normalised (baseline + caps 160..120 W)"

@@ -5,7 +5,7 @@ Trace simulation is the dominant fixed cost of a sweep: every
 result is a pure function of the node geometry, the workload slice,
 and the gating.  :class:`RateCache` memoizes those results across
 *processes and sessions* — repeated sweeps, the benchmark suite, and
-parallel workers all skip redundant trace simulation.
+the service's worker shards all skip redundant trace simulation.
 
 Keys are ``blake2b`` digests over everything the rates depend on:
 
@@ -18,7 +18,7 @@ Keys are ``blake2b`` digests over everything the rates depend on:
 
 The store is a single JSON file.  Saves are atomic (write-to-temp +
 ``os.replace``) and merge with any entries written concurrently by
-another process, so parallel sweep workers can share one cache file.
+another process, so several processes can share one cache file.
 
 Writers batch their saves (:meth:`put` only marks the cache dirty;
 :meth:`save` flushes at run/sweep boundaries), and every flush is a
@@ -97,20 +97,22 @@ def rate_key(
 
 
 def _split_entry(value: dict) -> "Tuple[dict, float] | None":
-    """(rates-dict, last-used ts) from either on-disk layout.
+    """(rates-dict, last-used ts) of one ``{"rates": {...}, "ts": ...}``
+    entry; None for anything else.
 
-    Historical files store the rates dict directly; current files wrap
-    it as ``{"rates": {...}, "ts": <last-used>}``.
+    Entries in the historical unwrapped layout (the rates dict alone)
+    are None too, so they are logged as malformed and re-measured, not
+    misread.
     """
     if not isinstance(value, dict):
         return None
     inner = value.get("rates")
-    if isinstance(inner, dict):
-        try:
-            return inner, float(value.get("ts", 0.0))
-        except (TypeError, ValueError):
-            return inner, 0.0
-    return value, 0.0
+    if not isinstance(inner, dict):
+        return None
+    try:
+        return inner, float(value.get("ts", 0.0))
+    except (TypeError, ValueError):
+        return inner, 0.0
 
 
 class RateCache:

@@ -604,19 +604,12 @@ def flatten_series_name(name: str, labels: Dict[str, str]) -> str:
 
 def _distill_bench_sweep(doc: dict) -> Dict[str, float]:
     series: Dict[str, float] = {}
-    sweep = doc.get("sweep") or {}
-    for key in ("parallel_speedup", "chunk_overhead_ms"):
-        if isinstance(sweep.get(key), (int, float)):
-            series[key] = float(sweep[key])
-    for name in ("jobs1", "jobs4"):
-        entry = sweep.get(name) or {}
-        for key in ("wall_s", "runs_per_s"):
-            if isinstance(entry.get(key), (int, float)):
-                series[f"{name}.{key}"] = float(entry[key])
-    if isinstance(sweep.get("jobs1"), dict) and isinstance(
-        sweep["jobs1"].get("runs_per_s"), (int, float)
-    ):
-        series["runs_per_s"] = float(sweep["jobs1"]["runs_per_s"])
+    entry = (doc.get("sweep") or {}).get("jobs1") or {}
+    for key in ("wall_s", "runs_per_s"):
+        if isinstance(entry.get(key), (int, float)):
+            series[f"jobs1.{key}"] = float(entry[key])
+    if "jobs1.runs_per_s" in series:
+        series["runs_per_s"] = series["jobs1.runs_per_s"]
     single = doc.get("single_run_120w") or {}
     for key in ("speedup", "engagement", "scalar_ms", "block_ms"):
         if isinstance(single.get(key), (int, float)):
@@ -723,9 +716,6 @@ def distill_experiment_doc(
             misses = float(cache.get("misses") or 0)
             if hits + misses > 0:
                 series["rate_cache.hit_rate"] = hits / (hits + misses)
-        execution = prov.get("execution")
-        if isinstance(execution, dict):
-            meta.setdefault("execution", execution)
         if prov.get("git") is not None:
             meta.setdefault("git", prov["git"])
         if prov.get("package_version") is not None:
@@ -792,7 +782,6 @@ class TrendRule:
 DEFAULT_TREND_RULES: Tuple[TrendRule, ...] = (
     TrendRule("runs_per_s", higher_is_better=True, threshold=0.20),
     TrendRule("node_steps_per_s", higher_is_better=True, threshold=0.20),
-    TrendRule("parallel_speedup", higher_is_better=True, threshold=0.20),
     TrendRule("single_run.speedup", higher_is_better=True, threshold=0.20),
     TrendRule("single_run.engagement", higher_is_better=True, threshold=0.10),
     TrendRule("rate_cache.hit_rate", higher_is_better=True, threshold=0.25),
@@ -809,10 +798,10 @@ def rule_for_series(
 ) -> TrendRule:
     """The governing rule for one series name.
 
-    Exact matches win, then prefix matches on the rule name (so
-    ``runs_per_s`` also governs ``jobs4.runs_per_s`` via the suffix
-    heuristics below), then direction is inferred from the name's
-    suffix; the default is higher-is-better with a 20% threshold.
+    Exact matches win, then direction is inferred from the name's
+    suffix (so ``jobs1.runs_per_s`` is higher-is-better like
+    ``runs_per_s``); the default is higher-is-better with a 20%
+    threshold.
     """
     for rule in rules:
         if rule.series == series:

@@ -8,8 +8,6 @@ needed to reproduce (or distrust) the numbers:
 - the experiment seed, caps, repetitions, and slice length,
 - the package version and (best-effort) ``git describe`` of the code,
 - rate-cache identity and hit/miss counters at sweep end,
-- how the sweep actually executed (requested and effective worker
-  counts after the single-core fallback, warm-worker reuse),
 - cumulative per-phase span seconds (from :mod:`repro.obs.tracing`)
   spent producing this result.
 
@@ -80,7 +78,6 @@ def build_provenance(
     slice_accesses: int,
     rate_cache=None,
     phase_seconds: Optional[Dict[str, float]] = None,
-    execution: Optional[dict] = None,
 ) -> dict:
     """Assemble one result's provenance manifest (JSON-ready dict)."""
     from .. import __version__
@@ -99,7 +96,6 @@ def build_provenance(
         "repetitions": int(repetitions),
         "slice_accesses": int(slice_accesses),
         "rate_cache": None,
-        "execution": dict(execution) if execution else None,
         "phase_seconds": {
             k: round(float(v), 6) for k, v in (phase_seconds or {}).items()
         },

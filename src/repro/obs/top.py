@@ -117,15 +117,13 @@ def render_dashboard(
         )
         lines.append(f"jobs  {jobs}")
 
-    # Engine: rate cache + effective jobs.
+    # Engine: rate cache.
     hits = _scalar(metrics, "repro_rate_cache_hits_total")
     misses = _scalar(metrics, "repro_rate_cache_misses_total")
     total = hits + misses
     hit_rate = (100.0 * hits / total) if total > 0 else 0.0
-    eff = _scalar(metrics, "repro_engine_effective_jobs")
     lines.append(
-        f"rate cache  {hit_rate:5.1f}% hit ({hits:.0f}/{total:.0f})   "
-        f"effective jobs {eff:.0f}"
+        f"rate cache  {hit_rate:5.1f}% hit ({hits:.0f}/{total:.0f})"
     )
 
     # Stream bus.

@@ -2,10 +2,10 @@
 
 A *job* is one sweep request: the paper's methodology (workload, cap
 range, repetitions) plus execution knobs (seed, instruction-budget
-scale, process fan-out).  :class:`JobSpec` is frozen and canonically
-hashable — its :meth:`~JobSpec.digest` keys the persistent result
-store, so two submissions that would simulate the same thing
-deduplicate to one stored result.
+scale).  :class:`JobSpec` is frozen and canonically hashable — its
+:meth:`~JobSpec.digest` keys the persistent result store, so two
+submissions that would simulate the same thing deduplicate to one
+stored result.
 
 :class:`JobQueue` is the scheduler's work source: a thread-safe
 priority queue (higher ``priority`` pops first, FIFO within a
@@ -104,8 +104,6 @@ class JobSpec:
     repetitions: int = 1
     seed: int = DEFAULT_SEED
     scale: float = 0.05
-    #: Process fan-out *within* the sweep (PowerCapExperiment jobs=N).
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.workload not in WORKLOAD_REGISTRY:
@@ -126,23 +124,10 @@ class JobSpec:
             )
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "seed", int(self.seed))
-        if int(self.jobs) < 1:
-            raise ConfigError("jobs (process fan-out) must be >= 1")
-        object.__setattr__(self, "jobs", int(self.jobs))
 
     def digest(self) -> str:
         """Stable content hash; the result store's primary key."""
-        payload = {
-            "workload": self.workload,
-            "caps_w": list(self.caps_w),
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "scale": self.scale,
-        }
-        # ``jobs`` is deliberately excluded: parallel sweeps are
-        # bit-identical to serial ones, so fan-out cannot change the
-        # result and must not defeat dedup.
-        blob = json.dumps(payload, sort_keys=True).encode()
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
     def to_dict(self) -> dict:
@@ -153,7 +138,6 @@ class JobSpec:
             "repetitions": self.repetitions,
             "seed": self.seed,
             "scale": self.scale,
-            "jobs": self.jobs,
         }
 
     @classmethod

@@ -2,10 +2,10 @@
 
 Each worker pops the highest-priority queued job, builds the paper's
 :class:`~repro.core.experiment.PowerCapExperiment` from the spec, and
-drives ``run_all(jobs=spec.jobs)`` — so a single job can itself fan
-out over processes exactly as the CLI does.  All workers share one
-:class:`~repro.core.ratecache.RateCache`, so distinct jobs over the
-same (workload, geometry, gating) skip trace simulation entirely.
+runs its sweep in-process through ``run_all()``, as the CLI does.
+All workers share one :class:`~repro.core.ratecache.RateCache`, so
+distinct jobs over the same (workload, geometry, gating) skip trace
+simulation entirely.
 
 Failure containment: an exception inside a sweep marks the attempt,
 re-queues the job with exponential backoff while attempts remain, and
@@ -340,7 +340,7 @@ class ExperimentScheduler:
             slice_accesses=self._slice_accesses,
             rate_cache=self._rate_cache,
         )
-        return experiment.run_all(jobs=spec.jobs)
+        return experiment.run_all()
 
     def _archive_run(self, job: Job, doc: dict, wall_s: float) -> None:
         """Distill one freshly simulated job's stored document into the

@@ -21,11 +21,9 @@ moves the simulation into a pool of long-lived **shard processes**:
   persists), which the scheduler stores as it came, so the sharded
   path stores byte-identical documents to the in-process path.
 
-Like the sweep engine's warm-worker pool (PR 6), fan-out falls back to
-in-process execution where it cannot help: a single-core host, or a
-requested shard count below 2.  The fallback is recorded —
-``effective_shards`` is 0 and a warning is logged — mirroring
-``effective_jobs`` in sweep provenance.
+Fan-out falls back to in-process execution where it cannot help: a
+single-core host, or a requested shard count below 2.  The fallback
+is recorded — ``effective_shards`` is 0 and a warning is logged.
 """
 
 from __future__ import annotations
@@ -86,10 +84,10 @@ class ShardRing:
 def effective_shard_count(requested: int) -> int:
     """Shard count after the single-core fallback (0 = in-process).
 
-    Mirrors ``PowerCapExperiment._effective_jobs``: process fan-out on
-    a single-core host only adds dispatch overhead, so fall back to
-    in-process execution with a logged warning.  ``REPRO_SHARD_FORCE=1``
-    overrides (tests exercise real shard processes on any host).
+    Process fan-out on a single-core host only adds dispatch overhead,
+    so fall back to in-process execution with a logged warning.
+    ``REPRO_SHARD_FORCE=1`` overrides (tests exercise real shard
+    processes on any host).
     """
     requested = max(0, int(requested))
     if requested < 2:
@@ -147,7 +145,7 @@ def _shard_main(
                 slice_accesses=slice_accesses,
                 rate_cache=cache,
             )
-            sweeps = experiment.run_all(jobs=spec.jobs)
+            sweeps = experiment.run_all()
             doc = {
                 name: experiment_to_dict(result)
                 for name, result in sweeps.items()

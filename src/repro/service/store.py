@@ -231,9 +231,16 @@ class ResultStoreBase(abc.ABC):
 
     @staticmethod
     def _job_from_record(row) -> Job:
-        """Rebuild a :class:`Job` from a flat record (dict or sqlite Row)."""
+        """Rebuild a :class:`Job` from a flat record (dict or sqlite Row).
+
+        Rows written by older versions carry a ``"jobs"`` process
+        fan-out field, which no longer exists and never entered the
+        digest; it is dropped so those jobs still load and recover.
+        """
+        spec = json.loads(row["spec_json"])
+        spec.pop("jobs", None)
         return Job(
-            spec=JobSpec.from_dict(json.loads(row["spec_json"])),
+            spec=JobSpec.from_dict(spec),
             id=row["id"],
             priority=row["priority"],
             state=JobState(row["state"]),

@@ -214,45 +214,8 @@ def test_scalar_path_unchanged_by_flag():
 
 
 # ----------------------------------------------------------------------
-# Sweep execution: a warm pool worker's chunk runs the per-run path.
+# Removed engine options.
 # ----------------------------------------------------------------------
-
-
-def _sweep_tasks(names, caps, reps):
-    return [
-        (_workload(n), cap, rep)
-        for n in names
-        for cap in caps
-        for rep in range(reps)
-    ]
-
-
-def test_chunked_warm_worker_matches_serial():
-    """_pool_init + _pool_run_chunk (the worker body) == serial runs.
-
-    Runs the exact code a pool worker executes, in-process, so the
-    equality holds on single-core hosts too; a true multi-process pool
-    is exercised by TestParallelDeterminism when cores allow.
-    """
-    from repro.core import experiment as exp_mod
-
-    tasks = _sweep_tasks(["stereo"], [None, 140.0, 120.0], 2)
-    serial_runner = NodeRunner(slice_accesses=SLICE_ACCESSES, block_step=True)
-    plain = [serial_runner.run(w, cap, rep=rep) for (w, cap, rep) in tasks]
-
-    from repro.rng import DEFAULT_SEED
-
-    saved = exp_mod._WORKER_RUNNER
-    try:
-        exp_mod._pool_init(None, DEFAULT_SEED, SLICE_ACCESSES, None, None, True)
-        chunked = exp_mod._pool_run_chunk(tasks)
-    finally:
-        exp_mod._WORKER_RUNNER = saved
-
-    assert len(chunked) == len(plain)
-    for got, want in zip(chunked, plain):
-        assert got == want
-        assert _serialized(got) == _serialized(want)
 
 
 def test_no_batch_flag_is_gone():

@@ -1,4 +1,4 @@
-"""Parallel sweep executor, steady-state fast-forward, and rate cache."""
+"""In-process sweep execution, steady-state fast-forward, and rate cache."""
 
 from __future__ import annotations
 
@@ -6,9 +6,11 @@ import dataclasses
 
 import pytest
 
+from repro.cli import build_parser
 from repro.core.experiment import PowerCapExperiment
 from repro.core.ratecache import RateCache, rate_key
 from repro.core.runner import NodeRunner
+from repro.errors import ConfigError
 from repro.mem.reconfig import GatingState
 from repro.workloads.sar import SireRsmWorkload
 from repro.workloads.stereo import StereoMatchingWorkload
@@ -21,36 +23,37 @@ def scaled(workload, factor):
     return workload
 
 
-class TestParallelDeterminism:
-    def test_parallel_equals_serial_run_for_run(self):
-        def build():
-            return PowerCapExperiment(
-                [scaled(StereoMatchingWorkload(), 0.005),
-                 scaled(SireRsmWorkload(), 0.005)],
-                caps_w=[150.0, 135.0],
-                repetitions=2,
-                slice_accesses=50_000,
-            )
+class TestInProcessSweep:
+    """Every sweep runs in-process; no process pool is left to ask for."""
 
-        serial = build().run_all(jobs=1)
-        parallel = build().run_all(jobs=2)
-        assert set(serial) == set(parallel)
-        for name in serial:
-            # AveragedResult is a dataclass: equality is field-by-field
-            # over every run statistic, so this asserts bit-identity.
-            assert serial[name].baseline == parallel[name].baseline
-            assert serial[name].by_cap == parallel[name].by_cap
+    def build(self):
+        return PowerCapExperiment(
+            [scaled(StereoMatchingWorkload(), 0.005)],
+            caps_w=[150.0],
+            repetitions=1,
+            slice_accesses=50_000,
+        )
 
-    def test_run_workload_jobs_matches_serial(self):
-        wl = scaled(StereoMatchingWorkload(), 0.005)
-        a = PowerCapExperiment(
-            [wl], caps_w=[145.0], repetitions=1, slice_accesses=50_000
-        ).run_workload(wl, jobs=2)
-        b = PowerCapExperiment(
-            [wl], caps_w=[145.0], repetitions=1, slice_accesses=50_000
-        ).run_workload(wl)
+    def test_jobs_other_than_one_rejected(self):
+        experiment = self.build()
+        for jobs in (0, 2, 4):
+            with pytest.raises(ConfigError, match="in-process"):
+                experiment.run_all(jobs=jobs)
+            with pytest.raises(ConfigError, match="in-process"):
+                experiment.run_workload(experiment._workloads[0], jobs=jobs)
+
+    def test_jobs_one_is_the_default_sweep(self):
+        a = self.build().run_all(jobs=1)["StereoMatching"]
+        b = self.build().run_all()["StereoMatching"]
         assert a.baseline == b.baseline
         assert a.by_cap == b.by_cap
+
+    def test_jobs_cli_flag_is_gone(self, capsys):
+        for argv in (["--jobs", "2", "sweep"], ["sweep", "--jobs", "2"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestFastForward:
@@ -298,14 +301,25 @@ class TestRateCacheLru:
         entry = json.loads(path.read_text())["k"]
         assert "rates" in entry and entry["ts"] > 0
 
-    def test_legacy_flat_format_still_loads(self, tmp_path):
+    def test_legacy_flat_format_is_remeasured(self, tmp_path):
+        # The historical layout stored the rates dict unwrapped.  Such
+        # an entry is skipped as malformed (a miss, so the rates are
+        # measured again), and the next save writes the current layout.
         import json
         from dataclasses import asdict
 
         path = tmp_path / "rates.json"
         path.write_text(json.dumps({"old": asdict(fake_rates(2))}))
         cache = RateCache(path)
-        assert cache.get("old") == fake_rates(2)
+        assert len(cache) == 0
+        assert cache.get("old") is None
+        assert cache.misses == 1
+        cache.put("new", fake_rates(3))
+        cache.save()
+        data = json.loads(path.read_text())
+        assert set(data) == {"new"}
+        assert set(data["new"]) == {"rates", "ts"}
+        assert RateCache(path).get("new") == fake_rates(3)
 
     def test_bad_max_entries_rejected(self, tmp_path):
         import pytest as _pytest

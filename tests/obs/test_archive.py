@@ -33,9 +33,6 @@ def sweep_doc(runs_per_s=100.0):
         "parameters": {"repetitions": 3},
         "sweep": {
             "jobs1": {"wall_s": 10.0, "runs_per_s": runs_per_s},
-            "jobs4": {"wall_s": 4.0, "runs_per_s": 2.5 * runs_per_s},
-            "parallel_speedup": 2.5,
-            "chunk_overhead_ms": 1.5,
         },
         "single_run_120w": {
             "speedup": 1.3,
@@ -235,9 +232,25 @@ class TestBenchIngestion:
         assert kind == "bench_sweep"
         run = archive.get_run(run_id)
         assert run["series"]["runs_per_s"] == 100.0
-        assert run["series"]["jobs4.runs_per_s"] == 250.0
+        assert run["series"]["jobs1.runs_per_s"] == 100.0
         assert run["series"]["single_run.speedup"] == 1.3
         assert run["meta"]["benchmark"] == "table2-sweep"
+
+    def test_ingest_sweep_skips_process_pool_fields(self, archive):
+        # Older BENCH_sweep.json documents carry a jobs=4 arm, its
+        # speed-up and chunk overhead; none of them is a series now.
+        doc = sweep_doc()
+        doc["sweep"].update(
+            jobs4={"wall_s": 4.0, "runs_per_s": 250.0},
+            parallel_speedup=2.5,
+            chunk_overhead_ms=1.5,
+        )
+        _, run_id = archive.ingest_bench(doc)
+        assert set(archive.get_run(run_id)["series"]) == {
+            "jobs1.wall_s", "jobs1.runs_per_s", "runs_per_s",
+            "single_run.speedup", "single_run.engagement",
+            "single_run.scalar_ms", "single_run.block_ms",
+        }
 
     def test_ingest_fleet(self, archive):
         kind, run_id = archive.ingest_bench(fleet_doc())
@@ -274,8 +287,8 @@ class TestTrendEngine:
         seed_sweep_history(archive, [100.0] * 5 + [130.0] * 3)
         trends = {t.series: t for t in detect_trends(archive, window=3)}
         assert trends["runs_per_s"].verdict == "improvement"
-        # chunk_overhead_ms never moved: stable, lower-is-better rule.
-        t = trends["chunk_overhead_ms"]
+        # jobs1.wall_s never moved: stable, lower-is-better rule.
+        t = trends["jobs1.wall_s"]
         assert t.verdict == "stable" and not t.higher_is_better
 
     def test_lower_is_better_direction(self, archive):
@@ -306,7 +319,7 @@ class TestTrendEngine:
         assert t.verdict == "regression"
         assert t.reference == 100.0
         # Series the baseline doesn't pin fall back to history medians.
-        assert trends["parallel_speedup"].verdict == "stable"
+        assert trends["single_run.speedup"].verdict == "stable"
 
     def test_explicit_series_subset(self, archive):
         seed_sweep_history(archive, [100.0] * 5 + [75.0] * 3)
@@ -329,15 +342,16 @@ class TestTrendRules:
         assert rule.threshold == 0.10 and rule.higher_is_better
 
     def test_suffix_heuristics(self):
-        assert rule_for_series("jobs4.runs_per_s").higher_is_better
+        assert rule_for_series("jobs1.runs_per_s").higher_is_better
         assert not rule_for_series("phase.sweep_s").higher_is_better
-        assert not rule_for_series("chunk_overhead_ms").higher_is_better
+        assert not rule_for_series("single_run.block_ms").higher_is_better
         assert not rule_for_series("total_energy_j").higher_is_better
         assert rule_for_series("totally_unknown").higher_is_better
 
     def test_default_rules_cover_headlines(self):
         names = {r.series for r in DEFAULT_TREND_RULES}
-        assert {"runs_per_s", "node_steps_per_s", "parallel_speedup"} <= names
+        assert {"runs_per_s", "node_steps_per_s", "single_run.speedup"} <= names
+        assert "parallel_speedup" not in names
 
 
 class TestFlattenSeriesName:

@@ -32,6 +32,11 @@ class TestEngineMetrics:
     def test_no_batch_engine_series(self):
         assert "repro_engine_batch_" not in engine_metrics().render()
 
+    def test_no_process_pool_series(self):
+        text = engine_metrics().render()
+        assert "repro_engine_effective_jobs" not in text
+        assert "repro_engine_worker_reuse_total" not in text
+
     def test_run_increments_counters(self):
         from repro.core.runner import NodeRunner
         from repro.workloads.stereo import StereoMatchingWorkload

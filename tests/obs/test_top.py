@@ -12,7 +12,6 @@ repro_jobs{state="running"} 2
 repro_jobs{state="done"} 7
 repro_rate_cache_hits_total 30
 repro_rate_cache_misses_total 10
-repro_engine_effective_jobs 4
 repro_stream_events_total 120
 repro_stream_dropped_total 5
 repro_stream_subscribers 1
@@ -62,7 +61,6 @@ class TestRenderDashboard:
         assert "( 50.0% busy)" in frame
         assert "done=7  running=2" in frame
         assert "rate cache   75.0% hit (30/40)" in frame
-        assert "effective jobs 4" in frame
         assert "120 events   5 dropped   1 subscribers" in frame
 
     def test_fleet_block_gated_on_node_count(self):

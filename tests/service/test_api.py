@@ -1,14 +1,19 @@
 """HTTP API end-to-end: the acceptance path of the service layer.
 
 Covers: submit -> DONE -> result identical to a direct sweep; dedup on
-resubmission; /healthz; /metrics content; cancellation; error paths.
+resubmission; /healthz; /metrics content; cancellation; error paths
+including 405/413; keep-alive connection reuse and ``Connection:
+close``; admission sheds (429 and shutdown 503, both with
+``Retry-After``) and their counters on /metrics.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -41,20 +46,20 @@ def service(tmp_path_factory):
     svc.shutdown(drain=False)
 
 
-def request(service, method, path, body=None):
+def request(service, method, path, body=None, headers=None):
     data = None if body is None else json.dumps(body).encode()
+    merged = dict(headers or {})
+    if data:
+        merged.setdefault("Content-Type", "application/json")
     req = urllib.request.Request(
-        service.url + path,
-        data=data,
-        method=method,
-        headers={"Content-Type": "application/json"} if data else {},
+        service.url + path, data=data, method=method, headers=merged
     )
     with urllib.request.urlopen(req, timeout=30) as resp:
         return resp.status, resp.read()
 
 
-def request_json(service, method, path, body=None):
-    status, raw = request(service, method, path, body)
+def request_json(service, method, path, body=None, headers=None):
+    status, raw = request(service, method, path, body, headers)
     return status, json.loads(raw)
 
 
@@ -194,9 +199,11 @@ class TestHealthAndMetrics:
         assert isinstance(health["queue_depth"], int)
 
     def test_metrics_exposition(self, service, finished_job):
-        status, raw = request(service, "GET", "/metrics")
-        assert status == 200
-        text = raw.decode()
+        req = urllib.request.Request(service.url + "/metrics")
+        with urllib.request.urlopen(req, timeout=30) as resp:
+            assert resp.status == 200
+            assert "text/plain" in resp.headers["Content-Type"]
+            text = resp.read().decode()
         assert "# TYPE repro_queue_depth gauge" in text
         assert "repro_queue_depth " in text
         assert 'repro_jobs{state="done"}' in text
@@ -210,6 +217,9 @@ class TestHealthAndMetrics:
         # finished sweep recorded at least one timeline.
         assert "repro_telemetry_runs_total" in text
         assert "repro_telemetry_samples_total" in text
+        # The serving plane's admission and shard panels.
+        assert "repro_admission_shed_total" in text
+        assert "repro_service_shards" in text
 
     def test_rate_cache_counters_move(self, service, finished_job):
         # The sweep measured at least one gating -> misses > 0.
@@ -242,6 +252,13 @@ class TestErrorPaths:
         )
         assert "unknown workload" in body["error"]
 
+    def test_jobs_field_400(self, service):
+        # Sweeps have no process fan-out: a spec naming one is refused.
+        body = self.expect_status(
+            service, "POST", "/jobs", {"workload": "stereo", "jobs": 2}, 400
+        )
+        assert "'jobs'" in body["error"]
+
     def test_inverted_range_400(self, service):
         body = self.expect_status(
             service,
@@ -251,6 +268,26 @@ class TestErrorPaths:
             400,
         )
         assert "inverted cap range" in body["error"]
+
+    def test_unsupported_method_405(self, service):
+        req = urllib.request.Request(
+            service.url + "/jobs", data=b"{}", method="PUT"
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 405
+
+    def test_oversized_body_413(self, service):
+        body = b'{"pad": "' + b"x" * (1 << 20) + b'"}'
+        req = urllib.request.Request(
+            service.url + "/jobs",
+            data=body,
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=30)
+        assert err.value.code == 413
 
     def test_invalid_json_400(self, service):
         req = urllib.request.Request(
@@ -289,3 +326,115 @@ class TestErrorPaths:
             service, "DELETE", f"/jobs/{finished_job['id']}", None, 409
         )
         assert "only queued jobs" in body["error"]
+
+
+class TestKeepAlive:
+    def test_connection_reuse(self, service):
+        """Several requests down one socket: HTTP/1.1 keep-alive."""
+        parsed = urlparse(service.url)
+        conn = http.client.HTTPConnection(
+            parsed.hostname, parsed.port, timeout=30
+        )
+        try:
+            for _ in range(3):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def test_connection_close_honoured(self, service):
+        parsed = urlparse(service.url)
+        conn = http.client.HTTPConnection(
+            parsed.hostname, parsed.port, timeout=30
+        )
+        try:
+            conn.request(
+                "GET", "/healthz", headers={"Connection": "close"}
+            )
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
+            assert resp.will_close
+        finally:
+            conn.close()
+
+
+class TestAdmissionOverHttp:
+    @pytest.fixture()
+    def tight_service(self, tmp_path):
+        svc = ExperimentService(
+            db_path="memory://",
+            port=0,
+            workers=1,
+            rate_cache=tmp_path / "rates.json",
+            admission_rate=0.001,
+            admission_burst=1.0,
+        )
+        svc.start(start_workers=False)
+        yield svc
+        svc.shutdown(drain=False)
+
+    def test_rate_limited_submit_gets_429_with_retry_after(
+        self, tight_service
+    ):
+        status, job = request_json(
+            tight_service,
+            "POST",
+            "/jobs",
+            SPEC,
+            headers={"X-Client-Id": "hot"},
+        )
+        assert status == 201
+        with pytest.raises(urllib.error.HTTPError) as err:
+            request(
+                tight_service,
+                "POST",
+                "/jobs",
+                SPEC,
+                headers={"X-Client-Id": "hot"},
+            )
+        assert err.value.code == 429
+        assert float(err.value.headers["Retry-After"]) > 0
+        body = json.loads(err.value.read())
+        assert "rate_limit" in body["error"]
+
+    def test_shed_counted_on_metrics(self, tight_service):
+        for _ in range(2):
+            try:
+                request(
+                    tight_service,
+                    "POST",
+                    "/jobs",
+                    SPEC,
+                    headers={"X-Client-Id": "metered"},
+                )
+            except urllib.error.HTTPError:
+                pass
+        _, raw = request(tight_service, "GET", "/metrics")
+        shed_lines = [
+            line
+            for line in raw.decode().splitlines()
+            if line.startswith("repro_admission_shed_total")
+            and 'reason="rate_limit"' in line
+        ]
+        assert shed_lines and float(shed_lines[0].split()[-1]) >= 1.0
+        assert tight_service.admission.shed_counts()["rate_limit"] >= 1.0
+
+    def test_submissions_after_shutdown_are_shed(self, tmp_path):
+        svc = ExperimentService(
+            db_path="memory://",
+            port=0,
+            workers=1,
+            rate_cache=tmp_path / "rates.json",
+        )
+        svc.start(start_workers=False)
+        try:
+            svc.admission.begin_shutdown()
+            with pytest.raises(urllib.error.HTTPError) as err:
+                request_json(svc, "POST", "/jobs", SPEC)
+            assert err.value.code == 503
+            assert "Retry-After" in err.value.headers
+        finally:
+            svc.shutdown(drain=False)

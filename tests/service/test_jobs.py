@@ -39,8 +39,10 @@ class TestJobSpec:
     def test_bad_repetitions_and_jobs_rejected(self):
         with pytest.raises(ConfigError):
             JobSpec(repetitions=0)
-        with pytest.raises(ConfigError):
-            JobSpec(jobs=0)
+        # The process fan-out field is gone; an API body naming it is
+        # rejected like any other unknown field.
+        with pytest.raises(ConfigError, match="'jobs'"):
+            JobSpec.from_dict({"workload": "stereo", "jobs": 2})
 
     def test_digest_is_stable_and_content_addressed(self):
         a = JobSpec(workload="stereo", caps_w=(150.0, 140.0), scale=0.01)
@@ -53,10 +55,16 @@ class TestJobSpec:
             workload="sire", caps_w=(150.0, 140.0), scale=0.01
         ).digest()
 
-    def test_digest_ignores_fanout(self):
-        # Parallel sweeps are bit-identical to serial, so the process
-        # fan-out must not defeat store dedup.
-        assert JobSpec(jobs=1).digest() == JobSpec(jobs=4).digest()
+    def test_digest_matches_earlier_versions(self):
+        # Digests recorded before the process fan-out field was
+        # removed (it never entered the digest): stored results keep
+        # deduplicating.
+        assert JobSpec().digest() == "979424a20609d07058e368d8693862e3"
+        spec = JobSpec(
+            workload="sire", caps_w=(150.0, 140.0), repetitions=2,
+            seed=7, scale=0.01,
+        )
+        assert spec.digest() == "95195fb9d892ef860a3beefd6681ea6f"
 
     def test_round_trips_through_dict(self):
         spec = JobSpec(workload="sire", caps_w=(145.0,), repetitions=2)

@@ -8,6 +8,7 @@ counter dicts and cap labels included.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import sqlite3
 import sys
@@ -173,6 +174,43 @@ class TestJobRecords:
             store.record_job(j)
         pending = {j.id for j in store.pending_jobs()}
         assert pending == {queued.id, running.id}
+
+    def test_row_with_legacy_jobs_field_recovers(self, tmp_path):
+        # Older versions stored a process fan-out "jobs" key in every
+        # spec; such a QUEUED row must still load after a restart.
+        path = tmp_path / "legacy.sqlite3"
+        SQLiteResultStore(path).close()
+        spec_json = json.dumps(
+            {
+                "workload": "sire", "caps_w": [150.0, 140.0],
+                "repetitions": 2, "seed": 7, "scale": 0.01, "jobs": 4,
+            },
+            sort_keys=True,
+        )
+        digest = "95195fb9d892ef860a3beefd6681ea6f"  # as written then
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(
+                "INSERT INTO jobs (id, spec_digest, spec_json, priority, "
+                "state, attempts, max_attempts, error, created_at, "
+                "started_at, finished_at, deduplicated) "
+                "VALUES (?, ?, ?, 0, 'queued', 0, 3, NULL, 100.0, NULL, "
+                "NULL, 0)",
+                ("legacy1", digest, spec_json),
+            )
+        conn.close()
+        reopened = SQLiteResultStore(path)
+        try:
+            (job,) = reopened.pending_jobs()
+            assert job.id == "legacy1"
+            assert job.spec == JobSpec(
+                workload="sire", caps_w=(150.0, 140.0), repetitions=2,
+                seed=7, scale=0.01,
+            )
+            assert job.spec.digest() == digest
+            assert reopened.get_job("legacy1").spec == job.spec
+        finally:
+            reopened.close()
 
     def test_list_jobs_newest_first(self, store):
         old = Job(spec=JobSpec(caps_w=(150.0,)), created_at=100.0)

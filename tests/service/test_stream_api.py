@@ -3,16 +3,21 @@
 Covers: live subscription to a running job (every event exactly once,
 ids strictly increasing, terminal close), full-history replay on a
 finished job, ``Last-Event-ID`` resume via header and query parameter,
-404 on unknown jobs, the fleet stream, the live stream/engine gauges
-on ``/metrics``, and the no-perturbation contract — the result
-document is identical whether or not anyone was subscribed while the
-job ran.
+404 on unknown jobs, the fleet stream, the live stream/rate-cache
+gauges on ``/metrics``, 100 concurrent subscribers all receiving the
+identical stream, the bus's drop-oldest backpressure, graceful
+shutdown (queued jobs re-recorded, open streams closed with a
+terminal ``end`` frame), and the no-perturbation contract — the
+result document is identical whether or not anyone was subscribed
+while the job ran.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 from urllib.parse import urlparse
@@ -21,6 +26,7 @@ import pytest
 
 from repro.obs.stream import FLEET_TOPIC, event_bus
 from repro.service.api import ExperimentService
+from repro.service.store import SQLiteResultStore
 
 SPEC = {
     "workload": "stereo",
@@ -146,6 +152,97 @@ class TestJobStream:
         assert err.value.code == 404
 
 
+SUBSCRIBERS = 100
+
+
+class TestConcurrentSubscribers:
+    def test_100_subscribers_all_complete(self, service, streamed_job):
+        """100 concurrent streams, all identical."""
+        job, _frames = streamed_job
+        url = f"{service.url}/jobs/{job['id']}/stream"
+        results = [None] * SUBSCRIBERS
+        errors = []
+        barrier = threading.Barrier(SUBSCRIBERS)
+
+        def consume(k: int) -> None:
+            try:
+                barrier.wait(timeout=60)
+                req = urllib.request.Request(url)
+                with urllib.request.urlopen(req, timeout=120) as resp:
+                    assert (
+                        resp.headers["Content-Type"] == "text/event-stream"
+                    )
+                    results[k] = resp.read().decode()
+            except Exception as exc:  # noqa: BLE001 — surfaced below
+                errors.append((k, exc))
+
+        threads = [
+            threading.Thread(target=consume, args=(k,))
+            for k in range(SUBSCRIBERS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=180)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
+
+        parsed = [parse_sse(body) for body in results]
+        # Every subscriber saw the complete history and the terminal
+        # frame — and saw exactly the same bytes as everyone else.
+        for frames in parsed:
+            assert frames[0]["event"] == "job_started"
+            assert frames[-1]["event"] == "job_done"
+        assert all(body == results[0] for body in results)
+
+    def test_subscribers_gauge_returns_to_zero(self, service, streamed_job):
+        bus = event_bus()
+        deadline = time.monotonic() + 15.0
+        while time.monotonic() < deadline:
+            if bus.subscriber_count() == 0:
+                break
+            time.sleep(0.25)
+        assert bus.subscriber_count() == 0
+
+
+class TestDropOldestBackpressure:
+    def test_slow_subscriber_drops_oldest_and_counts(self):
+        bus = event_bus()
+        topic = "test.backpressure.slow"
+        before = bus.dropped_total()
+        sub = bus.subscribe(topic, queue_size=4)
+        try:
+            for k in range(10):
+                bus.publish(topic, "tick", {"k": k})
+            # 10 events into a 4-slot queue: the oldest 6 fall out.
+            assert sub.dropped == 6
+            assert bus.dropped_total() - before == 6
+            survivors = []
+            while True:
+                event = sub.get(timeout=0)
+                if event is None:
+                    break
+                survivors.append(event.data["k"])
+            assert survivors == [6, 7, 8, 9]  # newest 4, in order
+        finally:
+            bus.unsubscribe(sub)
+
+    def test_fast_subscriber_loses_nothing(self):
+        bus = event_bus()
+        topic = "test.backpressure.fast"
+        sub = bus.subscribe(topic, queue_size=4)
+        try:
+            seen = []
+            for k in range(12):
+                bus.publish(topic, "tick", {"k": k})
+                event = sub.get(timeout=1)
+                seen.append(event.data["k"])
+            assert seen == list(range(12))
+            assert sub.dropped == 0
+        finally:
+            bus.unsubscribe(sub)
+
+
 class TestFleetStream:
     def test_replays_published_fleet_events(self, service):
         bus = event_bus()
@@ -201,8 +298,6 @@ class TestLiveGauges:
         # No stream is held open here, but the fleet-stream test's
         # hang-up is only noticed at the server's next keepalive write
         # — poll until that subscription drains rather than leak.
-        import time
-
         deadline = time.monotonic() + 15.0
         while time.monotonic() < deadline:
             value = self.scalar(
@@ -212,10 +307,6 @@ class TestLiveGauges:
                 break
             time.sleep(0.5)
         assert value == 0.0
-
-    def test_effective_jobs_gauge_exposed(self, service, streamed_job):
-        text = self.get_metrics(service)
-        assert self.scalar(text, "repro_engine_effective_jobs") >= 1.0
 
     def test_rate_cache_gauges_live(self, service, streamed_job):
         text = self.get_metrics(service)
@@ -247,8 +338,6 @@ class TestByteIdentity:
                 )
                 assert frames[-1]["event"] == "job_done"
             else:
-                import time
-
                 for _ in range(1200):
                     _, j = request_json(svc, "GET", f"/jobs/{job['id']}")
                     if j["state"] == "done":
@@ -274,3 +363,53 @@ class TestByteIdentity:
             a.pop("provenance")
             b.pop("provenance")
             assert a == b
+
+
+class TestGracefulShutdown:
+    def test_queued_jobs_survive_and_streams_get_end_frame(self, tmp_path):
+        db = tmp_path / "shutdown.sqlite3"
+        svc = ExperimentService(
+            db_path=db,
+            port=0,
+            workers=1,
+            rate_cache=tmp_path / "rates.json",
+        )
+        svc.start(start_workers=False)  # jobs queue, never run
+        job_ids = []
+        for k in range(3):
+            spec = dict(SPEC, seed=4200 + k)
+            status, job = request_json(svc, "POST", "/jobs", spec)
+            assert status == 201
+            job_ids.append(job["id"])
+
+        # Hold a live stream open across the shutdown.
+        captured = {}
+
+        def consume():
+            try:
+                captured["body"] = read_stream(
+                    svc, f"/jobs/{job_ids[0]}/stream"
+                )
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                captured["error"] = exc
+
+        reader = threading.Thread(target=consume)
+        reader.start()
+        time.sleep(0.5)  # let the subscription attach
+
+        svc.shutdown(drain=False)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert "error" not in captured
+        frames = parse_sse(captured["body"])
+        assert frames[-1]["event"] == "end"
+        assert frames[-1]["data"]["state"] == "shutting_down"
+
+        # The queue was discarded, not lost: every job is back in the
+        # store as QUEUED, ready for recovery on the next boot.
+        reopened = SQLiteResultStore(db)
+        try:
+            pending = {j.id for j in reopened.pending_jobs()}
+            assert set(job_ids) <= pending
+        finally:
+            reopened.close()

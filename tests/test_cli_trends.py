@@ -18,8 +18,6 @@ def sweep_doc(runs_per_s=100.0):
         "parameters": {},
         "sweep": {
             "jobs1": {"wall_s": 10.0, "runs_per_s": runs_per_s},
-            "jobs4": {"wall_s": 4.0, "runs_per_s": 2.5 * runs_per_s},
-            "parallel_speedup": 2.5,
         },
     }
 
@@ -69,7 +67,7 @@ class TestTrendsCommand:
         assert "runs_per_s" in out
         assert "regression" in out
         assert "↓25.0%" in out
-        assert "3 regression(s)" in out  # jobs1, jobs4, and the headline
+        assert "2 regression(s)" in out  # jobs1 and the headline
 
     def test_check_exits_nonzero_on_regression(self, archive_path, capsys):
         code = main(["trends", "--archive", archive_path, "--check"])
@@ -95,21 +93,19 @@ class TestTrendsCommand:
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["regressions"] == [
-            "jobs1.runs_per_s", "jobs4.runs_per_s", "runs_per_s"
-        ]
+        assert doc["regressions"] == ["jobs1.runs_per_s", "runs_per_s"]
         by_series = {t["series"]: t for t in doc["trends"]}
         assert by_series["runs_per_s"]["verdict"] == "regression"
         assert by_series["runs_per_s"]["shift"] == pytest.approx(-0.25)
 
     def test_series_filter(self, archive_path, capsys):
         code = main(
-            ["trends", "--archive", archive_path, "--series", "jobs4.runs_per_s"]
+            ["trends", "--archive", archive_path, "--series", "jobs1.runs_per_s"]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "jobs4.runs_per_s" in out
-        assert "parallel_speedup" not in out
+        assert "jobs1.runs_per_s" in out
+        assert "jobs1.wall_s" not in out
 
     def test_ingest_creates_archive(self, tmp_path, capsys):
         bench = tmp_path / "BENCH_sweep.json"
