@@ -1,27 +1,25 @@
-"""The HTTP front end's transport behaviour, end-to-end over sockets.
+"""The HTTP front end over one shared service, end-to-end over sockets.
 
-Covers keep-alive connection reuse and ``Connection: close``, the
-405/413 replies, admission sheds with ``Retry-After``, graceful
-shutdown (queued jobs re-recorded, open streams closed with a
-terminal ``end`` frame), and the served result document being
-byte-identical to a direct in-process sweep.
+Covers the served result document being byte-identical to a direct
+in-process sweep, digest dedup on resubmission, the jobs listing and
+the /metrics scrape, the 400/404 replies, and SSE replay, resume and
+the caught-up ``end`` frame. Transport cases (keep-alive, 405/413,
+admission sheds, graceful shutdown, fan-out) live in ``test_api.py``
+and ``test_stream_api.py``.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import time
 import urllib.error
 import urllib.request
-from urllib.parse import urlparse
 
 import pytest
 
 from repro.core.experiment import PowerCapExperiment
 from repro.core.serialize import experiment_to_dict
 from repro.service.api import ExperimentService
-from repro.service.store import SQLiteResultStore
 from repro.workloads import make_workload
 
 SPEC = {
@@ -173,59 +171,6 @@ class TestErrors:
             urllib.request.urlopen(req, timeout=30)
         assert err.value.code == 400
 
-    def test_unsupported_method_405(self, service):
-        req = urllib.request.Request(
-            service.url + "/jobs", data=b"{}", method="PUT"
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req, timeout=30)
-        assert err.value.code == 405
-
-    def test_oversized_body_413(self, service):
-        body = b'{"pad": "' + b"x" * (1 << 20) + b'"}'
-        req = urllib.request.Request(
-            service.url + "/jobs",
-            data=body,
-            method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req, timeout=30)
-        assert err.value.code == 413
-
-
-class TestKeepAlive:
-    def test_connection_reuse(self, service):
-        """Several requests down one socket: HTTP/1.1 keep-alive."""
-        parsed = urlparse(service.url)
-        conn = http.client.HTTPConnection(
-            parsed.hostname, parsed.port, timeout=30
-        )
-        try:
-            for _ in range(3):
-                conn.request("GET", "/healthz")
-                resp = conn.getresponse()
-                assert resp.status == 200
-                json.loads(resp.read())
-        finally:
-            conn.close()
-
-    def test_connection_close_honoured(self, service):
-        parsed = urlparse(service.url)
-        conn = http.client.HTTPConnection(
-            parsed.hostname, parsed.port, timeout=30
-        )
-        try:
-            conn.request(
-                "GET", "/healthz", headers={"Connection": "close"}
-            )
-            resp = conn.getresponse()
-            assert resp.status == 200
-            resp.read()
-            assert resp.will_close
-        finally:
-            conn.close()
-
 
 class TestStreams:
     def test_replay_ends_with_terminal_frame(self, service, finished_job):
@@ -270,134 +215,3 @@ class TestStreams:
         with pytest.raises(urllib.error.HTTPError) as err:
             read_stream(service, "/jobs/nope/stream")
         assert err.value.code == 404
-
-
-class TestAdmissionOverHttp:
-    @pytest.fixture()
-    def tight_service(self, tmp_path):
-        svc = ExperimentService(
-            db_path="memory://",
-            port=0,
-            workers=1,
-            rate_cache=tmp_path / "rates.json",
-                admission_rate=0.001,
-            admission_burst=1.0,
-        )
-        svc.start(start_workers=False)
-        yield svc
-        svc.shutdown(drain=False)
-
-    def test_rate_limited_submit_gets_429_with_retry_after(
-        self, tight_service
-    ):
-        status, job = request_json(
-            tight_service,
-            "POST",
-            "/jobs",
-            SPEC,
-            headers={"X-Client-Id": "hot"},
-        )
-        assert status == 201
-        with pytest.raises(urllib.error.HTTPError) as err:
-            request(
-                tight_service,
-                "POST",
-                "/jobs",
-                SPEC,
-                headers={"X-Client-Id": "hot"},
-            )
-        assert err.value.code == 429
-        assert float(err.value.headers["Retry-After"]) > 0
-        body = json.loads(err.value.read())
-        assert "rate_limit" in body["error"]
-
-    def test_shed_counted_on_metrics(self, tight_service):
-        for _ in range(2):
-            try:
-                request(
-                    tight_service,
-                    "POST",
-                    "/jobs",
-                    SPEC,
-                    headers={"X-Client-Id": "metered"},
-                )
-            except urllib.error.HTTPError:
-                pass
-        _, raw, _ = request(tight_service, "GET", "/metrics")
-        shed_lines = [
-            line
-            for line in raw.decode().splitlines()
-            if line.startswith("repro_admission_shed_total")
-            and 'reason="rate_limit"' in line
-        ]
-        assert shed_lines and float(shed_lines[0].split()[-1]) >= 1.0
-        assert tight_service.admission.shed_counts()["rate_limit"] >= 1.0
-
-
-class TestGracefulShutdown:
-    def test_queued_jobs_survive_and_streams_get_end_frame(self, tmp_path):
-        db = tmp_path / "shutdown.sqlite3"
-        svc = ExperimentService(
-            db_path=db,
-            port=0,
-            workers=1,
-            rate_cache=tmp_path / "rates.json",
-            )
-        svc.start(start_workers=False)  # jobs queue, never run
-        job_ids = []
-        for k in range(3):
-            spec = dict(SPEC, seed=4200 + k)
-            status, job = request_json(svc, "POST", "/jobs", spec)
-            assert status == 201
-            job_ids.append(job["id"])
-
-        # Hold a live stream open across the shutdown.
-        import threading
-
-        captured = {}
-
-        def consume():
-            try:
-                captured["body"] = read_stream(
-                    svc, f"/jobs/{job_ids[0]}/stream"
-                )
-            except Exception as exc:  # noqa: BLE001 — asserted below
-                captured["error"] = exc
-
-        reader = threading.Thread(target=consume)
-        reader.start()
-        time.sleep(0.5)  # let the subscription attach
-
-        svc.shutdown(drain=False)
-        reader.join(timeout=30)
-        assert not reader.is_alive()
-        assert "error" not in captured
-        frames = parse_sse(captured["body"])
-        assert frames[-1]["event"] == "end"
-        assert frames[-1]["data"]["state"] == "shutting_down"
-
-        # The queue was discarded, not lost: every job is back in the
-        # store as QUEUED, ready for recovery on the next boot.
-        reopened = SQLiteResultStore(db)
-        try:
-            pending = {j.id for j in reopened.pending_jobs()}
-            assert set(job_ids) <= pending
-        finally:
-            reopened.close()
-
-    def test_submissions_after_shutdown_are_shed(self, tmp_path):
-        svc = ExperimentService(
-            db_path="memory://",
-            port=0,
-            workers=1,
-            rate_cache=tmp_path / "rates.json",
-            )
-        svc.start(start_workers=False)
-        try:
-            svc.admission.begin_shutdown()
-            with pytest.raises(urllib.error.HTTPError) as err:
-                request_json(svc, "POST", "/jobs", SPEC)
-            assert err.value.code == 503
-            assert "Retry-After" in err.value.headers
-        finally:
-            svc.shutdown(drain=False)
