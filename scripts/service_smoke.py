@@ -4,8 +4,11 @@
 Boots the service on an ephemeral port with a throwaway SQLite store,
 submits a tiny sweep over HTTP, polls the job to DONE, and asserts
 that ``/healthz`` answers and ``/metrics`` exposes the queue/state/
-cache counters.  Exits non-zero on any failure; prints a one-line
-summary per step so CI logs read as a transcript.
+cache counters.  It then shuts the service down and reopens the file
+with a fresh store: the job must read back DONE with its result
+document, through a connection in WAL mode with ``synchronous=FULL``.
+Exits non-zero on any failure; prints a one-line summary per step so
+CI logs read as a transcript.
 
 Usage::
 
@@ -22,6 +25,8 @@ import urllib.request
 from pathlib import Path
 
 from repro.service.api import ExperimentService
+from repro.service.jobs import JobState
+from repro.service.store import SQLiteResultStore
 
 SPEC = {
     "workload": "stereo",
@@ -64,8 +69,9 @@ def http(method: str, url: str, body: dict | None = None):
 
 def run_smoke() -> None:
     tmp = Path(tempfile.mkdtemp(prefix="repro-smoke-"))
+    db_path = tmp / "smoke.sqlite3"
     service = ExperimentService(
-        db_path=tmp / "smoke.sqlite3",
+        db_path=db_path,
         port=0,
         workers=2,
         rate_cache=tmp / "rates.json",
@@ -108,6 +114,26 @@ def run_smoke() -> None:
     finally:
         service.shutdown(drain=False)
         print("[smoke] service stopped")
+    check_durable(db_path, job["id"])
+
+
+def check_durable(db_path: Path, job_id: str) -> None:
+    """The finished job and its result survive a restart."""
+    store = SQLiteResultStore(db_path)
+    try:
+        reopened = store.get_job(job_id)
+        assert reopened is not None, f"job {job_id} lost on restart"
+        assert reopened.state is JobState.DONE, reopened
+        doc = store.get_result_dict(reopened.spec_digest)
+        assert doc and "StereoMatching" in doc, "result lost on restart"
+        with store._connect() as conn:
+            mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
+            sync = conn.execute("PRAGMA synchronous").fetchone()[0]
+        assert (mode, sync) == ("wal", 2), (mode, sync)
+    finally:
+        store.close()
+    print("[smoke] reopened store reads the job DONE with its result "
+          "(journal_mode=wal, synchronous=2)")
 
 
 def main() -> int:

@@ -60,8 +60,8 @@ def validate_caps(
     """
     try:
         caps = [float(c) for c in caps_w]
-    except (TypeError, ValueError):
-        raise ConfigError(f"caps must be numbers, got {list(caps_w)!r}")
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"caps must be numbers, got {caps_w!r}")
     if not caps and not allow_empty:
         raise ConfigError(
             "cap sweep is empty — give at least one power cap in Watts"

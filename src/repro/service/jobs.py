@@ -20,11 +20,13 @@ import heapq
 import itertools
 import json
 import math
+import numbers
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import PAPER_POWER_CAPS_W
@@ -39,7 +41,11 @@ __all__ = [
     "Job",
     "JobQueue",
     "caps_from_range",
+    "integer_field",
 ]
+
+#: Most caps one range-form spec may expand to; bounds the walk below.
+MAX_RANGE_CAPS = 1000
 
 
 class JobState(str, Enum):
@@ -69,7 +75,7 @@ def caps_from_range(
     """
     try:
         hi, lo, step = float(cap_max_w), float(cap_min_w), float(step_w)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(
             f"cap range bounds must be numbers, got "
             f"({cap_max_w!r}, {cap_min_w!r}, {step_w!r})"
@@ -85,9 +91,28 @@ def caps_from_range(
     caps: List[float] = []
     cap = hi
     while cap >= lo - 1e-9:
+        if len(caps) == MAX_RANGE_CAPS:
+            raise ConfigError(
+                f"cap range yields more than {MAX_RANGE_CAPS} caps"
+            )
         caps.append(round(cap, 6))
         cap -= step
     return tuple(validate_caps(caps))
+
+
+def integer_field(name: str, value) -> int:
+    """``value`` as an int, if it is a finite integral number.
+
+    JSON has one number type, so ``2.0`` passes as 2; ``2.5``,
+    ``1e999`` (parsed as infinity), bools and strings raise
+    :class:`~repro.errors.ConfigError` naming ``name`` instead of being
+    truncated or overflowing.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +131,10 @@ class JobSpec:
     scale: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.workload not in WORKLOAD_REGISTRY:
+        if (
+            not isinstance(self.workload, str)
+            or self.workload not in WORKLOAD_REGISTRY
+        ):
             raise ConfigError(
                 f"unknown workload {self.workload!r}; choose from "
                 f"{sorted(WORKLOAD_REGISTRY)}"
@@ -114,20 +142,34 @@ class JobSpec:
         object.__setattr__(
             self, "caps_w", tuple(validate_caps(self.caps_w))
         )
-        if int(self.repetitions) < 1:
+        repetitions = integer_field("repetitions", self.repetitions)
+        if repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        object.__setattr__(self, "repetitions", int(self.repetitions))
-        scale = float(self.scale)
+        object.__setattr__(self, "repetitions", repetitions)
+        try:
+            scale = float(self.scale)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"scale must be a number, got {self.scale!r}")
         if not math.isfinite(scale) or scale <= 0:
             raise ConfigError(
                 f"scale must be finite and > 0, got {self.scale!r}"
             )
         object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", integer_field("seed", self.seed))
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """``to_dict()`` as sorted-key JSON, encoded once per spec.
+
+        The store persists it as the job's ``spec_json`` and
+        :meth:`digest` hashes it.  The spec is frozen, so the cached
+        string never goes stale.
+        """
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def digest(self) -> str:
         """Stable content hash; the result store's primary key."""
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        blob = self.canonical_json.encode()
         return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
     def to_dict(self) -> dict:
@@ -162,6 +204,11 @@ class JobSpec:
         kwargs = {
             k: v for k, v in data.items() if k in {f.name for f in fields(cls)}
         }
+        if not isinstance(kwargs.get("caps_w", []), (list, tuple)):
+            # A string would iterate into one cap per digit.
+            raise ConfigError(
+                f"caps_w must be a list of Watts, got {kwargs['caps_w']!r}"
+            )
         if range_keys & set(data):
             if "caps_w" in data:
                 raise ConfigError(

@@ -41,7 +41,7 @@ from ..obs.stream import (
     event_bus,
 )
 from ..obs.timeseries import timeline_to_dict
-from .jobs import JobSpec, JobState
+from .jobs import JobSpec, JobState, integer_field
 
 __all__ = [
     "Request",
@@ -117,7 +117,9 @@ class Request:
             )
         try:
             data = json.loads(self.body)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and undecodable bytes;
+            # RecursionError, nesting deeper than the decoder follows.
             raise ConfigError(f"invalid JSON: {exc}")
         if not isinstance(data, dict):
             raise ConfigError("request body must be a JSON object")
@@ -448,12 +450,10 @@ class Router:
             return response
         try:
             data = req.json_body()
-            priority = int(data.pop("priority", 0))
+            priority = integer_field("priority", data.pop("priority", 0))
             spec = JobSpec.from_dict(data)
         except ConfigError as exc:
             return self._error(req, 400, str(exc))
-        except (TypeError, ValueError) as exc:
-            return self._error(req, 400, f"bad job spec: {exc}")
         t0 = time.perf_counter()
         job = service.scheduler.submit(spec, priority=priority)
         service.metrics.submit_seconds.observe(time.perf_counter() - t0)

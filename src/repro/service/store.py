@@ -21,10 +21,10 @@ registered backend.
 
 Backends:
 
-- :class:`SQLiteResultStore` (default) — one SQLite file (rollback
-  journal) behind one connection per store and process, shared by
-  every scheduler worker and HTTP handler thread under a lock held
-  for one transaction;
+- :class:`SQLiteResultStore` (default) — one SQLite file (write-ahead
+  log, ``synchronous=FULL``) behind one connection per store and
+  process, shared by every scheduler worker and HTTP handler thread
+  under a lock held for one transaction;
 - :class:`MemoryResultStore` — process-local dicts under a lock; no
   durability, no files.  Used by tests and by load benchmarks that
   must not measure filesystem latency;
@@ -50,7 +50,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.experiment import ExperimentResult
 from ..core.serialize import experiment_from_dict, experiment_to_dict
@@ -67,6 +67,17 @@ __all__ = [
 ]
 
 _log = get_logger("service.store")
+
+
+def _json_object(items: Iterable[Tuple[str, str]]) -> str:
+    """A JSON object from ``(key, encoded value)`` pairs in key order.
+
+    Uses ``json.dumps``' default separators, so over sorted pairs it
+    matches ``json.dumps(..., sort_keys=True)`` byte for byte.
+    """
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: {value}" for key, value in items
+    ) + "}"
 
 
 class ResultStoreBase(abc.ABC):
@@ -168,20 +179,34 @@ class ResultStoreBase(abc.ABC):
         shard.  Each row is stored under its document key (``baseline``
         or the ``by_cap`` key), which tells apart caps that round to the
         same watt.
+
+        Every row is encoded once: the document's JSON is spliced from
+        the row strings, and is byte-identical to
+        ``json.dumps(doc, sort_keys=True)``.
         """
         rows: List[Tuple[str, str, str]] = []
-        for name, sweep in doc.items():
-            labelled = [("baseline", sweep["baseline"])]
-            labelled.extend(sweep["by_cap"].items())
-            rows.extend(
-                (name, label, json.dumps(row, sort_keys=True))
-                for label, row in labelled
-            )
+        sweeps: List[Tuple[str, str]] = []
+        for name, sweep in sorted(doc.items()):
+            baseline = json.dumps(sweep["baseline"], sort_keys=True)
+            by_cap = [
+                (label, json.dumps(row, sort_keys=True))
+                for label, row in sorted(sweep["by_cap"].items())
+            ]
+            rows.append((name, "baseline", baseline))
+            rows.extend((name, label, row_json) for label, row_json in by_cap)
+            encoded = {
+                key: json.dumps(value, sort_keys=True)
+                for key, value in sweep.items()
+                if key not in ("baseline", "by_cap")
+            }
+            encoded["baseline"] = baseline
+            encoded["by_cap"] = _json_object(by_cap)
+            sweeps.append((name, _json_object(sorted(encoded.items()))))
         with span("store_write", spec_digest=spec_digest):
             self._put_result_json(
                 spec_digest,
                 time.time(),
-                json.dumps(doc, sort_keys=True),
+                _json_object(sweeps),
                 rows,
             )
         _log.debug(
@@ -217,7 +242,7 @@ class ResultStoreBase(abc.ABC):
         return {
             "id": job.id,
             "spec_digest": job.spec_digest,
-            "spec_json": json.dumps(job.spec.to_dict(), sort_keys=True),
+            "spec_json": job.spec.canonical_json,
             "priority": job.priority,
             "state": job.state.value,
             "attempts": job.attempts,
@@ -328,6 +353,10 @@ class SQLiteResultStore(ResultStoreBase):
                 )
                 self._conn.row_factory = sqlite3.Row
                 self._conn.execute("PRAGMA busy_timeout = 30000")
+                # A WAL commit appends to one log file; FULL still
+                # fsyncs it on every commit, so each commit is durable.
+                self._conn.execute("PRAGMA journal_mode = WAL")
+                self._conn.execute("PRAGMA synchronous = FULL")
             with self._conn as conn:
                 yield conn
 

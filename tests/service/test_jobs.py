@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pickle
 import time
 
 import pytest
@@ -15,6 +17,7 @@ from repro.service.jobs import (
     JobState,
     caps_from_range,
 )
+from repro.service.store import ResultStoreBase
 
 
 class TestJobSpec:
@@ -65,6 +68,70 @@ class TestJobSpec:
             seed=7, scale=0.01,
         )
         assert spec.digest() == "95195fb9d892ef860a3beefd6681ea6f"
+
+    @pytest.mark.parametrize("field", ["seed", "repetitions"])
+    @pytest.mark.parametrize(
+        "value", [1.5, 2.5, float("inf"), float("nan"), True, "3", None]
+    )
+    def test_non_integral_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            JobSpec(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            JobSpec.from_dict({field: value})
+
+    def test_integral_floats_are_the_same_spec(self):
+        spec = JobSpec(seed=7, repetitions=2)
+        twin = JobSpec.from_dict({"seed": 7.0, "repetitions": 2.0})
+        assert twin == spec and twin.digest() == spec.digest()
+        assert type(twin.seed) is int and type(twin.repetitions) is int
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"caps_w": "99"}, "caps_w must be a list"),
+            ({"caps_w": 150}, "caps_w must be a list"),
+            ({"caps_w": [10**400]}, "caps must be numbers"),
+            ({"workload": ["stereo"]}, "unknown workload"),
+            ({"scale": "tiny"}, "scale"),
+            ({"scale": 10**400}, "scale"),
+            ({"cap_max_w": 10**400, "cap_min_w": 120}, "bounds"),
+            ({"cap_max_w": 1e300, "cap_min_w": 120}, "more than"),
+            ({"cap_max_w": 1e20, "cap_min_w": 1e20, "cap_step_w": 1},
+             "more than"),
+        ],
+    )
+    def test_malformed_fields_are_config_errors(self, data, match):
+        with pytest.raises(ConfigError, match=match):
+            JobSpec.from_dict(data)
+
+    def test_canonical_json_is_encoded_once(self, monkeypatch):
+        calls = []
+        real_dumps = json.dumps
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        spec = JobSpec(workload="sire", caps_w=(150.0, 140.0), seed=7)
+        job = Job(spec=spec)
+        digests = {job.spec_digest for _ in range(5)} | {spec.digest()}
+        record = ResultStoreBase._job_to_record(job)
+        assert len(calls) == 1
+        assert digests == {record["spec_digest"]}
+        assert record["spec_json"] == real_dumps(
+            spec.to_dict(), sort_keys=True
+        )
+
+    def test_cached_encoding_keeps_equality_hash_and_pickle(self):
+        cold = JobSpec(workload="sire", caps_w=(145.0,), seed=3)
+        warm = JobSpec(workload="sire", caps_w=(145.0,), seed=3)
+        digest = warm.digest()
+        assert cold == warm and hash(cold) == hash(warm)
+        for spec in (cold, warm):
+            clone = pickle.loads(pickle.dumps(spec))
+            assert clone == spec and hash(clone) == hash(spec)
+            assert clone.digest() == digest
 
     def test_round_trips_through_dict(self):
         spec = JobSpec(workload="sire", caps_w=(145.0,), repetitions=2)

@@ -301,6 +301,39 @@ class TestConnection:
         store.close()
         store.close()
 
+    @staticmethod
+    def _pragmas(store):
+        with store._connect() as conn:
+            mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
+            sync = conn.execute("PRAGMA synchronous").fetchone()[0]
+        return mode, sync
+
+    def test_every_connection_is_wal_with_full_sync(self, tmp_path):
+        path = tmp_path / "svc.sqlite3"
+        store = SQLiteResultStore(path)
+        store.record_job(Job(spec=JobSpec(caps_w=(150.0,))))
+        assert self._pragmas(store) == ("wal", 2)
+        store.close()
+        assert self._pragmas(store) == ("wal", 2)
+        assert self._pragmas(SQLiteResultStore(path)) == ("wal", 2)
+
+    def test_rollback_journal_file_is_converted(self, tmp_path):
+        path = tmp_path / "old.sqlite3"
+        conn = sqlite3.connect(path)
+        conn.execute("CREATE TABLE t (x)")
+        conn.commit()
+        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "delete"
+        conn.close()
+        store = SQLiteResultStore(path)
+        job = Job(spec=JobSpec(caps_w=(150.0,)))
+        store.record_job(job)
+        assert self._pragmas(store) == ("wal", 2)
+        store.close()
+        conn = sqlite3.connect(path)
+        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        conn.close()
+        assert SQLiteResultStore(path).get_job(job.id).id == job.id
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="needs the fork start method",

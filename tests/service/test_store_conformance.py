@@ -13,6 +13,8 @@ import json
 import threading
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.experiment import PowerCapExperiment
 from repro.core.serialize import experiment_to_dict
@@ -185,6 +187,93 @@ class TestResults:
     def test_missing_result_is_none(self, store):
         assert store.get_result_dict("absent") is None
         assert store.result_rows("absent") == []
+
+
+# Any JSON value the encoder accepts: NaN, ±inf and -0.0 included,
+# non-ASCII text, and nested empty containers.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+rows = st.dictionaries(st.text(), json_values, max_size=5)
+sweep_docs = st.dictionaries(
+    st.text(),
+    st.fixed_dictionaries(
+        {
+            "format_version": json_values,
+            "workload": st.text(),
+            "baseline": rows,
+            "by_cap": st.dictionaries(st.text(), rows, max_size=4),
+        },
+        optional={"provenance": json_values},
+    ),
+    max_size=3,
+)
+
+
+def _stored_json(store, digest):
+    """The raw ``result_json`` and ``{(workload, label): row_json}``."""
+    if isinstance(store, SQLiteResultStore):
+        with store._connect() as conn:
+            raw_rows = conn.execute(
+                "SELECT workload, cap_label, row_json FROM result_rows "
+                "WHERE spec_digest = ?",
+                (digest,),
+            ).fetchall()
+    else:
+        raw_rows = store._rows[digest]
+    rows_json = {(w, label): row for w, label, row in raw_rows}
+    assert len(rows_json) == len(raw_rows)
+    return store._get_result_json(digest), rows_json
+
+
+class TestEncodeOnce:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(doc=sweep_docs)
+    @example(
+        doc={
+            "Stéréo": {
+                "format_version": 1,
+                "workload": "Stéréo ✓",
+                "baseline": {"t": [float("nan"), -0.0], "p": {}},
+                "by_cap": {},
+                "provenance": {"x": [[], {}], "y": float("-inf")},
+            },
+            "SIRE": {
+                "format_version": 1,
+                "workload": "SIRE",
+                "baseline": {},
+                "by_cap": {
+                    "150": {"v": float("inf")},
+                    "138.4": {"v": []},
+                    "137.6": {},
+                    "125": {"名": "é"},
+                },
+            },
+        }
+    )
+    def test_stored_bytes_equal_sorted_json_dumps(self, store, doc):
+        """Splicing encoded rows gives exactly ``json.dumps`` bytes."""
+        store.put_result_doc("d", doc)
+        result_json, rows_json = _stored_json(store, "d")
+        assert result_json == json.dumps(doc, sort_keys=True)
+        expected_rows = {}
+        for name, sweep in doc.items():
+            labelled = [("baseline", sweep["baseline"])]
+            labelled.extend(sweep["by_cap"].items())
+            for label, row in labelled:
+                expected_rows[(name, label)] = json.dumps(row, sort_keys=True)
+        assert rows_json == expected_rows
 
 
 class TestConcurrency:
